@@ -3,8 +3,11 @@
 Every subcommand runs the same pipeline skeleton: load a network, build
 the input box, push interval bounds through the layers, prune provably
 inactive neurons, then hand the instance to whichever analysis was asked
-for.  Exit codes encode the verification verdict so scripts can branch
-on them: 0 Robust, 1 Undetermined, 2 SolverFailed, 3 usage error.
+for: the margin SDP (`gamma`, read off in `_margin` only) or the
+inscribed-ball SDP (`lambda*`, `_radius`), serially, on the standard form
+that `_relaxation` builds.  Exit codes encode the verification verdict
+so scripts can branch on them: 0 Robust, 1 Undetermined, 2 SolverFailed,
+3 usage error.
 
 Set the environment variable IPV_LOG to `1` (stderr) or to a file path
 to capture one solver trace line per interior-point iteration.
@@ -17,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,26 +172,44 @@ def _competitors(prep, targets):
     return out
 
 
+def _relaxation(prep, target, variant, dscale=False):
+    """`(prob, std)`: the relaxation against `target` and its standard form."""
+    prob = build_relaxation(prep.net, prep.bounds, target, variant)
+    if dscale:
+        prob = apply_dscale(prob, prep.bounds)
+    return prob, to_standard_form(prob)
+
+
+def _margin(prob, std, gap_tol, trace):
+    """Solve the margin SDP; returns `(gamma, sol)`."""
+    sol = _solver.solve(std, _config(gap_tol), trace)
+    return sol.primal_obj + prob.obj_offset, sol
+
+
+def _radius(std, gap_tol, trace):
+    """Solve the inscribed-ball SDP of `std`; returns `(lambda_star, sol)`."""
+    sol = _solver.solve(
+        build_strict_feasibility(std), _config(gap_tol, default=1e-8), trace
+    )
+    return strict_feasibility_value(sol), sol
+
+
 def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
                wscale=False, prune=True, gap_tol=None, trace=None,
                clock=time.perf_counter):
     """Solve the relaxation for each competitor label and fold a verdict."""
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
-    cfg = _config(gap_tol)
     results = []
     for t in _competitors(prep, targets):
-        prob = build_relaxation(prep.net, prep.bounds, t, variant)
-        if dscale:
-            prob = apply_dscale(prob, prep.bounds)
-        std = to_standard_form(prob)
+        prob, std = _relaxation(prep, t, variant, dscale)
         t0 = clock()
-        sol = _solver.solve(std, cfg, trace)
+        gamma, sol = _margin(prob, std, gap_tol, trace)
         elapsed_ms = (clock() - t0) * 1e3
         X = unscale_psd_block(std, sol.xblocks[0])
         results.append(
             TargetResult(
                 target=t,
-                gamma=sol.primal_obj + prob.obj_offset,
+                gamma=gamma,
                 status=sol.status,
                 gap=sol.gap,
                 lambda_min=min_eigenvalue(X),
@@ -218,15 +238,12 @@ def run_diagnose(net, center, rho, variant, *, dscale=False, wscale=False,
     """
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     target = _competitors(prep, None)[0]
-    prob = build_relaxation(prep.net, prep.bounds, target, variant)
-    if dscale:
-        prob = apply_dscale(prob, prep.bounds)
-    sf = build_strict_feasibility(to_standard_form(prob))
-    sol = _solver.solve(sf, _config(gap_tol, default=1e-8), trace)
+    _, std = _relaxation(prep, target, variant, dscale)
+    lambda_star, sol = _radius(std, gap_tol, trace)
     center = np.asarray(center, dtype=float)
     return BoundReport(
         variant=variant.name,
-        lambda_star=strict_feasibility_value(sol),
+        lambda_star=lambda_star,
         status=sol.status,
         gap=sol.gap,
         iterations=sol.iterations,
@@ -246,9 +263,6 @@ class SweepSpec:
     width: int = 8
     rho: float = 0.1
     variants: list = field(default_factory=lambda: list(VARIANT_NAMES))
-    out: str | None = None
-    input_dim: int = 2
-    output_dim: int = 2
 
     def __post_init__(self):
         if not self.depths or not self.seeds or not self.variants:
@@ -259,67 +273,42 @@ class SweepSpec:
             Variant.parse(name)
 
 
-def _sweep_cell(spec: SweepSpec, depth, seed, tick, trace):
-    net, center = random_instance(
-        depth, spec.width, spec.input_dim, spec.output_dim, seed
-    )
-    prep = prepare_instance(net, center, spec.rho, prune=True)
-    bound = min_eig_bound(prep.net, center, spec.rho)
-    logits = forward(prep.net, center)
-    rest = [t for t in range(prep.net.output_dim) if t != prep.predicted]
-    target = max(rest, key=lambda t: (logits[t], -t))
-    rows = []
-    for name in spec.variants:
-        variant = Variant.parse(name)
-        t0 = tick()
-        prob = build_relaxation(prep.net, prep.bounds, target, variant)
-        std = to_standard_form(prob)
-        dsol = _solver.solve(
-            build_strict_feasibility(std), _config(None, default=1e-8), trace
-        )
-        vsol = _solver.solve(std, _config(None), trace)
-        elapsed_ms = (tick() - t0) * 1e3
-        rows.append(
-            SweepRow(
-                seed=seed,
-                L=depth,
-                variant=name,
-                target=target,
-                gamma=vsol.primal_obj + prob.obj_offset,
-                status=vsol.status,
-                gap=vsol.gap,
-                lambda_star=strict_feasibility_value(dsol),
-                min_eig_bound=bound,
-                runtime_ms=elapsed_ms,
-            )
-        )
-    return rows
+def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
+    """One row per (depth, seed, variant): ball radius plus margin solve.
 
-
-def run_sweep(spec: SweepSpec, *, clock=None, trace=None):
-    """One row per (depth, seed, variant): margin solve plus ball radius.
-
-    `(depth, seed)` cells are independent and run on a small thread
-    pool; rows still come out in deterministic (depth, seed, variant)
-    order.  Injecting `clock` (so tests can pin the runtime column) or
-    `trace` forces serial execution, since a fake clock or a shared
-    trace stream has no well-defined meaning across workers.
+    Each (depth, seed) cell draws its fixture from `random_instance` and
+    targets the highest-logit competitor (ties to the lower label).  Each
+    variant is built once; the radius solve and then the margin solve run
+    on the same standard form, and a row's `runtime_ms` covers the build
+    and both solves.  Rows come out in (depth, seed, variant) order.
     """
-    tick = time.perf_counter if clock is None else clock
-    cells = [(depth, seed) for depth in spec.depths for seed in spec.seeds]
-    if clock is None and trace is None and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(cells))) as pool:
-            futures = {
-                cell: pool.submit(_sweep_cell, spec, *cell, tick, trace)
-                for cell in cells
-            }
-            by_cell = {cell: fut.result() for cell, fut in futures.items()}
-    else:
-        by_cell = {cell: _sweep_cell(spec, *cell, tick, trace) for cell in cells}
-    rows = [row for cell in cells for row in by_cell[cell]]
-    csv_text = format_sweep_csv(rows)
-    if spec.out is not None:
-        Path(spec.out).write_text(csv_text)
+    rows = []
+    for depth in spec.depths:
+        for seed in spec.seeds:
+            net, center = random_instance(depth, spec.width, seed=seed)
+            prep = prepare_instance(net, center, spec.rho, prune=True)
+            bound = min_eig_bound(prep.net, center, spec.rho)
+            logits = forward(prep.net, center)
+            target = max(_competitors(prep, None), key=lambda t: (logits[t], -t))
+            for name in spec.variants:
+                t0 = clock()
+                prob, std = _relaxation(prep, target, Variant.parse(name))
+                lambda_star, _ = _radius(std, None, trace)
+                gamma, sol = _margin(prob, std, None, trace)
+                rows.append(
+                    SweepRow(
+                        seed=seed,
+                        L=depth,
+                        variant=name,
+                        target=target,
+                        gamma=gamma,
+                        status=sol.status,
+                        gap=sol.gap,
+                        lambda_star=lambda_star,
+                        min_eig_bound=bound,
+                        runtime_ms=(clock() - t0) * 1e3,
+                    )
+                )
     return rows
 
 
@@ -327,16 +316,13 @@ def run_compare(net, center, rho, *, targets=None, variants=VARIANT_NAMES,
                 eps=0.01, alpha=0.01, gap_tol=None, trace=None):
     """Exact margin next to every variant's relaxed margin, per target."""
     prep = prepare_instance(net, center, rho, prune=True)
-    cfg = _config(gap_tol)
     out = {"predicted": prep.predicted, "rho": float(rho), "targets": []}
     for t in _competitors(prep, targets):
         gamma_star = exact_gamma(prep.net, prep.bounds, t)
         entry = {"target": t, "gamma_star": gamma_star, "variants": {}}
         for name in variants:
             variant = Variant.parse(name, eps=eps, alpha=alpha)
-            prob = build_relaxation(prep.net, prep.bounds, t, variant)
-            sol = _solver.solve(to_standard_form(prob), cfg, trace)
-            gamma = sol.primal_obj + prob.obj_offset
+            gamma, sol = _margin(*_relaxation(prep, t, variant), gap_tol, trace)
             if sol.status == _solver.OPTIMAL and gamma > gamma_star + 1e-6:
                 raise RuntimeError(
                     f"relaxed margin {gamma} exceeds exact margin {gamma_star} "
@@ -391,11 +377,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _as_vector(data, source):
+    """A decoded JSON value as a float vector; it must be a flat list."""
+    try:
+        vec = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{source}: not a flat list of numbers ({exc})") from exc
+    if vec.ndim != 1:
+        raise UsageError(f"{source}: not a flat list of numbers (shape {vec.shape})")
+    return vec
+
+
 def _parse_vector(text):
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            data = json.load(fh)
-        return np.asarray(data, dtype=float)
+            return _as_vector(json.load(fh), text[1:])
     try:
         return np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
@@ -417,11 +413,16 @@ def _load_net_and_center(net_path, input_text):
         except ValueError:
             raise UsageError("with a fixture manifest, --input must be an integer index")
         entries = data["entries"]
+        if not isinstance(entries, list):
+            raise UsageError(f"'entries' must be a list, not {type(entries).__name__}")
         if not 0 <= idx < len(entries):
             raise UsageError(f"manifest index {idx} out of range (0..{len(entries) - 1})")
         entry = entries[idx]
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and "center" in entry):
+            raise UsageError(f"manifest entry {idx} needs a 'path' string and a 'center'")
         net = load(Path(net_path).parent / entry["path"])
-        return net, np.asarray(entry["center"], dtype=float)
+        return net, _as_vector(entry["center"], f"manifest entry {idx} center")
     if input_text is None:
         raise UsageError("--input is required")
     try:
@@ -593,11 +594,8 @@ def _dispatch(args, trace):
             width=args.width,
             rho=args.rho,
             variants=[v.strip() for v in args.variants.split(",") if v.strip()],
-            out=args.out,
         )
-        rows = run_sweep(spec, trace=trace)
-        if spec.out is None:
-            sys.stdout.write(format_sweep_csv(rows))
+        _emit(format_sweep_csv(run_sweep(spec, trace=trace)), args.out)
         return 0
 
     if args.command == "compare":

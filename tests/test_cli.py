@@ -1,6 +1,7 @@
 """Command-line surface: pipelines, exit codes, CSV shapes, fixtures."""
 
 import filecmp
+import io
 import itertools
 import json
 import re
@@ -188,10 +189,30 @@ def test_sweep_row_census():
     spec = SweepSpec(depths=[2, 4, 6], seeds=[0, 1, 2], variants=["base", "bremove"])
     rows = run_sweep(spec)
     assert len(rows) == 18
-    # rows come back in (depth, seed, variant) order regardless of scheduling
+    # rows come back in (depth, seed, variant) order
     key = [(r.L, r.seed, r.variant) for r in rows]
     assert key == sorted(key, key=lambda k: (k[0], k[1], ("base", "bremove").index(k[2])))
     assert all(r.status == "Optimal" for r in rows)
+
+
+def test_sweep_rows_match_verify_and_diagnose():
+    """One pipeline, one answer: a sweep row carries the exact gamma of
+    `run_verify` and the exact lambda* of `run_diagnose` on its cell."""
+    variants = ["base", "bremove", "problem-a"]
+    trace = io.StringIO()
+    rows = run_sweep(SweepSpec(depths=[4], seeds=[0], width=8, variants=variants),
+                     trace=trace)
+    assert [r.variant for r in rows] == variants
+    net, center = random_instance(4, 8, seed=0)
+    for row in rows:
+        variant = Variant.parse(row.variant)
+        rep = run_verify(net, center, 0.1, variant, targets=[row.target])
+        assert row.gamma == rep.targets[0].gamma
+        # with two output labels diagnose builds against the same target
+        assert row.lambda_star == run_diagnose(net, center, 0.1, variant).lambda_star
+    starts = [line for line in trace.getvalue().splitlines()
+              if line.startswith("iter=0 ")]
+    assert len(starts) == 2 * len(rows)
 
 
 def test_sweep_deterministic_with_injected_clock():
@@ -281,6 +302,26 @@ def test_manifest_drives_verify(tmp_path, capsys):
     assert main(["verify", "--net", manifest, "--input", "9", "--rho", "0.1"]) == 3
     plain = str(tmp_path / "net_L2_w3_s0.json")
     assert main(["verify", "--net", plain, "--input", "0", "--rho", "0.1"]) == 3
+
+
+@pytest.mark.parametrize("net, given, message", [
+    ("net.json", {"a": 1}, "flat list"),
+    ("net.json", [[0.1, 0.2]], "shape (1, 2)"),
+    ("given.json", {"entries": [{"path": "net.json"}]}, "'center'"),
+    ("given.json", {"entries": [{"center": [0.1, 0.2]}]}, "'path'"),
+    ("given.json", {"entries": 5}, "must be a list"),
+], ids=["object-input", "nested-input", "no-center", "no-path", "entries-int"])
+def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, net,
+                                        given, message):
+    """A malformed input vector or manifest is exit 3, never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    _save(random_instance(2, 3)[0], tmp_path)  # input_dim 2
+    (tmp_path / "given.json").write_text(json.dumps(given))
+    # a plain network reads the vector from the file, a manifest takes an index
+    given_input = "@given.json" if net == "net.json" else "0"
+    assert main(["verify", "--net", net, "--input", given_input, "--rho", "0.1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_gen_fixtures_cli(tmp_path, capsys):
