@@ -15,143 +15,4 @@ inscribed ball, and the constraint variants trade a little relaxation
 tightness for interior room.
 """
 
-from .network import (
-    EmptyLayerError,
-    Network,
-    NetworkError,
-    PruneReport,
-    ZeroRowError,
-    activations,
-    forward,
-    load,
-    predict,
-    prune_inactive,
-    save,
-    w_scale,
-)
-from .bounds import LayerBounds, input_box, propagate
-from .sdpform import (
-    VARIANT_NAMES,
-    Block,
-    Constraint,
-    SdpProblem,
-    Variant,
-    VariableLayout,
-    apply_dscale,
-    build_relaxation,
-    build_strict_feasibility,
-    constraint_violations,
-    dscale_diagonal,
-    lifted_point,
-    objective_value,
-    read_sdpa,
-    strict_feasibility_value,
-    to_standard_form,
-    unscale_psd_block,
-    write_sdpa,
-)
-from .solver import (
-    MAX_ITERATIONS,
-    NUMERICAL_FAILURE,
-    OPTIMAL,
-    UNBOUNDED,
-    SdpSolution,
-    SolverConfig,
-    residuals,
-    solve,
-)
-from .analysis import (
-    BoundReport,
-    SweepRow,
-    TargetResult,
-    VerificationReport,
-    diagonal_bounds,
-    format_sweep_csv,
-    min_eig_bound,
-    min_eigenvalue,
-    trace_bounds,
-    verdict,
-)
-from .oracle import PATTERN_CAP, PatternCapError, exact_gamma
-from .cli import (
-    SweepSpec,
-    UsageError,
-    generate_fixtures,
-    main,
-    prepare_instance,
-    random_instance,
-    run_compare,
-    run_diagnose,
-    run_sweep,
-    run_verify,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EmptyLayerError",
-    "Network",
-    "NetworkError",
-    "PruneReport",
-    "ZeroRowError",
-    "activations",
-    "forward",
-    "load",
-    "predict",
-    "prune_inactive",
-    "save",
-    "w_scale",
-    "LayerBounds",
-    "input_box",
-    "propagate",
-    "VARIANT_NAMES",
-    "Block",
-    "Constraint",
-    "SdpProblem",
-    "Variant",
-    "VariableLayout",
-    "apply_dscale",
-    "build_relaxation",
-    "build_strict_feasibility",
-    "constraint_violations",
-    "dscale_diagonal",
-    "lifted_point",
-    "objective_value",
-    "read_sdpa",
-    "strict_feasibility_value",
-    "to_standard_form",
-    "unscale_psd_block",
-    "write_sdpa",
-    "MAX_ITERATIONS",
-    "NUMERICAL_FAILURE",
-    "OPTIMAL",
-    "UNBOUNDED",
-    "SdpSolution",
-    "SolverConfig",
-    "residuals",
-    "solve",
-    "BoundReport",
-    "SweepRow",
-    "TargetResult",
-    "VerificationReport",
-    "diagonal_bounds",
-    "format_sweep_csv",
-    "min_eig_bound",
-    "min_eigenvalue",
-    "trace_bounds",
-    "verdict",
-    "PATTERN_CAP",
-    "PatternCapError",
-    "exact_gamma",
-    "SweepSpec",
-    "UsageError",
-    "generate_fixtures",
-    "main",
-    "prepare_instance",
-    "random_instance",
-    "run_compare",
-    "run_diagnose",
-    "run_sweep",
-    "run_verify",
-    "__version__",
-]

@@ -184,7 +184,11 @@ SWEEP_CSV_COLUMNS = (
 
 @dataclass
 class SweepRow:
-    """One sweep cell: a (depth, seed, variant) verification plus diagnosis."""
+    """One sweep cell: a (depth, seed, variant) verification plus diagnosis.
+
+    `solution` is the margin solve behind `gamma`, `status` and `gap`; it is
+    not a CSV column.
+    """
 
     seed: int
     L: int
@@ -196,6 +200,9 @@ class SweepRow:
     lambda_star: float
     min_eig_bound: float
     runtime_ms: float
+    solution: _solver.SdpSolution | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def csv_fields(self) -> list[str]:
         return [

@@ -280,7 +280,10 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
     targets the highest-logit competitor (ties to the lower label).  Each
     variant is built once; the radius solve and then the margin solve run
     on the same standard form, and a row's `runtime_ms` covers the build
-    and both solves.  Rows come out in (depth, seed, variant) order.
+    and both solves.  A row's `solution` is the margin solve's final
+    iterate on that standard form, so `solution.xblocks[0]` is the moment
+    matrix of the relaxation.  Rows come out in (depth, seed, variant)
+    order.
     """
     rows = []
     for depth in spec.depths:
@@ -307,6 +310,7 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
                         lambda_star=lambda_star,
                         min_eig_bound=bound,
                         runtime_ms=(clock() - t0) * 1e3,
+                        solution=sol,
                     )
                 )
     return rows

@@ -162,11 +162,6 @@ class Variant:
             return cls.leaky(alpha)
         return cls(name)
 
-    @property
-    def keeps_comp_equality(self) -> bool:
-        """True when the complementarity row is an exact equality."""
-        return self.name in ("base", "bremove", "problem-b")
-
 
 @dataclass(frozen=True)
 class Constraint:

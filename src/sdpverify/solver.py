@@ -11,7 +11,7 @@ predictor-corrector:
     3. centering  sigma = (mu_aff / mu)^3 from the boundary step lengths
     4. corrector  re-solve against the sigma mu I target plus the
                   second-order term dX_aff dS_aff, reusing the factorization
-    5. step       fraction tau to the boundary, separately for X and (y, S)
+    5. step       fraction _TAU to the boundary, separately for X and (y, S)
 
 Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
@@ -62,6 +62,8 @@ _UNBOUNDED_OBJ = -1e12
 _REG_LADDER = tuple(1e-12 * 10.0**k for k in range(7))
 # Steps below this in both cones count as a stall.
 _STALL_STEP = 1e-10
+# Fraction of the distance to the cone boundary taken by each step.
+_TAU = 0.95
 
 
 class _NumericalProblem(Exception):
@@ -70,29 +72,23 @@ class _NumericalProblem(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination tolerances and algorithm knobs.
+    """When a solve stops: gap and feasibility tolerances, iteration cap.
 
-    initial_scale is the mu_0 of the starting point X = S = mu_0 I; None
-    picks 100 times the largest input coefficient magnitude, floored so the
-    start never degenerates on all-zero data.
+    The iteration itself has no settings.  It starts from X = S = mu_0 I
+    with mu_0 = 100 times the largest input coefficient magnitude, floored
+    at 1 so the start never degenerates on all-zero data, and every step
+    goes the fraction _TAU of the way to the cone boundary.
     """
 
     gap_tol: float = 1e-6
     feas_tol: float = 1e-7
     max_iter: int = 200
-    tau: float = 0.95
-    initial_scale: float | None = None
-    corrector: bool = True
 
     def __post_init__(self):
         if not (self.gap_tol > 0 and self.feas_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.initial_scale is not None and not self.initial_scale > 0:
-            raise ValueError("initial_scale must be positive")
 
 
 @dataclass
@@ -127,67 +123,44 @@ def _compile(prob: SdpProblem):
     compiled = []
     for bidx, blk in enumerate(prob.blocks):
         d = blk.dim
+        psd = blk.kind == "psd"
         cmat = prob.objective.get(bidx)
-        if blk.kind == "psd":
+        if psd:
             C = cmat.toarray() if cmat is not None else np.zeros((d, d))
-            rows_all, cols_all, vals_all, cons_all = [], [], [], []
-            rowsets = []
-            for j, cons in enumerate(prob.constraints):
-                mat = cons.terms.get(bidx)
-                if mat is None:
-                    rowsets.append(None)
-                    continue
-                coo = mat.tocoo()
-                coo.sum_duplicates()
-                cons_all.append(np.full(coo.nnz, j))
-                rows_all.append(coo.row)
-                cols_all.append(coo.col)
-                vals_all.append(coo.data)
-                rset = np.unique(coo.row)
-                slot = np.searchsorted(rset, coo.row)
-                Asub = np.zeros((rset.size, d))
-                np.add.at(Asub, (slot, coo.col), coo.data)
-                rowsets.append((rset, Asub))
-            if cons_all:
-                Avec = sp.coo_matrix(
-                    (
-                        np.concatenate(vals_all),
-                        (
-                            np.concatenate(cons_all),
-                            np.concatenate(rows_all) * d + np.concatenate(cols_all),
-                        ),
-                    ),
-                    shape=(m, d * d),
-                ).tocsr()
-            else:
-                Avec = sp.csr_matrix((m, d * d))
-            compiled.append(_CompiledBlock("psd", d, C, Avec, rowsets))
         else:
             C = np.zeros(d)
             if cmat is not None:
                 coo = cmat.tocoo()
                 np.add.at(C, coo.row, coo.data)
-            cons_all, idx_all, vals_all = [], [], []
-            for j, cons in enumerate(prob.constraints):
-                mat = cons.terms.get(bidx)
-                if mat is None:
-                    continue
-                coo = mat.tocoo()
-                coo.sum_duplicates()
-                cons_all.append(np.full(coo.nnz, j))
-                idx_all.append(coo.row)
-                vals_all.append(coo.data)
-            if cons_all:
-                Avec = sp.coo_matrix(
-                    (
-                        np.concatenate(vals_all),
-                        (np.concatenate(cons_all), np.concatenate(idx_all)),
-                    ),
-                    shape=(m, d),
-                ).tocsr()
-            else:
-                Avec = sp.csr_matrix((m, d))
-            compiled.append(_CompiledBlock(blk.kind, d, C, Avec, None))
+        cons_all, idx_all, vals_all = [], [], []
+        rowsets = [None] * m if psd else None
+        for j, cons in enumerate(prob.constraints):
+            mat = cons.terms.get(bidx)
+            if mat is None:
+                continue
+            coo = mat.tocoo()
+            coo.sum_duplicates()
+            cons_all.append(np.full(coo.nnz, j))
+            idx_all.append(coo.row * d + coo.col if psd else coo.row)
+            vals_all.append(coo.data)
+            if psd:
+                rset = np.unique(coo.row)
+                slot = np.searchsorted(rset, coo.row)
+                Asub = np.zeros((rset.size, d))
+                np.add.at(Asub, (slot, coo.col), coo.data)
+                rowsets[j] = (rset, Asub)
+        shape = (m, d * d if psd else d)
+        if cons_all:
+            Avec = sp.coo_matrix(
+                (
+                    np.concatenate(vals_all),
+                    (np.concatenate(cons_all), np.concatenate(idx_all)),
+                ),
+                shape=shape,
+            ).tocsr()
+        else:
+            Avec = sp.csr_matrix(shape)
+        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, rowsets))
     return compiled
 
 
@@ -226,7 +199,12 @@ def _apply_AT(cb: _CompiledBlock, y: np.ndarray):
     return cb.Avec.T @ y
 
 
-def _residual_triplet(compiled, bvec, xblocks, y, sblocks, rd_blocks):
+def _dual_residuals(compiled, y, sblocks):
+    """R_d = C - S - A^T(y), blockwise."""
+    return [cb.C - sb - _apply_AT(cb, y) for cb, sb in zip(compiled, sblocks)]
+
+
+def _residual_triplet(compiled, bvec, xblocks, y, rd_blocks):
     m = bvec.size
     pres = 0.0
     if m:
@@ -250,9 +228,9 @@ def residuals(prob: SdpProblem, xblocks, y, sblocks) -> tuple[float, float, floa
     """
     compiled = _compile(prob)
     y = np.asarray(y, dtype=float)
-    rd_blocks = [cb.C - sb - _apply_AT(cb, y) for cb, sb in zip(compiled, sblocks)]
     pres, dres, gap, _, _ = _residual_triplet(
-        compiled, prob.rhs_vector(), xblocks, y, sblocks, rd_blocks
+        compiled, prob.rhs_vector(), xblocks, y,
+        _dual_residuals(compiled, y, sblocks),
     )
     return pres, dres, gap
 
@@ -348,9 +326,7 @@ def solve(
             free_slices[bi] = slice(offset, offset + cb.dim)
             offset += cb.dim
 
-    mu0 = cfg.initial_scale
-    if mu0 is None:
-        mu0 = max(1.0, 100.0 * _max_coefficient(prob, compiled))
+    mu0 = max(1.0, 100.0 * _max_coefficient(prob, compiled))
     xblocks = []
     sblocks = []
     for cb in compiled:
@@ -368,9 +344,8 @@ def solve(
     y = np.zeros(m)
 
     def snapshot(status: str, k: int) -> SdpSolution:
-        rd = [cb.C - sb - _apply_AT(cb, y) for cb, sb in zip(compiled, sblocks)]
         pres, dres, gap, pobj, dobj = _residual_triplet(
-            compiled, bvec, xblocks, y, sblocks, rd
+            compiled, bvec, xblocks, y, _dual_residuals(compiled, y, sblocks)
         )
         return SdpSolution(
             status=status,
@@ -393,11 +368,8 @@ def solve(
     def fallback(status: str, k: int) -> SdpSolution:
         nonlocal xblocks, y, sblocks
         if best_state is not None:
-            rd = [
-                cb.C - sb - _apply_AT(cb, y) for cb, sb in zip(compiled, sblocks)
-            ]
             pres, dres, gap, _, _ = _residual_triplet(
-                compiled, bvec, xblocks, y, sblocks, rd
+                compiled, bvec, xblocks, y, _dual_residuals(compiled, y, sblocks)
             )
             if best_score < max(pres, dres, gap):
                 xblocks, y, sblocks = best_state
@@ -407,11 +379,9 @@ def solve(
     k = 0
     try:
         for k in range(cfg.max_iter):
-            rd_blocks = [
-                cb.C - sb - _apply_AT(cb, y) for cb, sb in zip(compiled, sblocks)
-            ]
+            rd_blocks = _dual_residuals(compiled, y, sblocks)
             pres, dres, gap, pobj, _ = _residual_triplet(
-                compiled, bvec, xblocks, y, sblocks, rd_blocks
+                compiled, bvec, xblocks, y, rd_blocks
             )
             mu = (
                 sum(float((xb * sb).sum()) for xb, sb in zip(xblocks, sblocks))
@@ -541,28 +511,24 @@ def solve(
                     dxb.append(dx)
                 return dxb, dy, dsb
 
-            if cfg.corrector:
-                # predictor: pure Newton step toward complementarity zero
-                dxa, dya, dsa = newton(0.0, None)
-                ap_aff = min(1.0, _max_step(compiled, xblocks, dxa))
-                ad_aff = min(1.0, _max_step(compiled, sblocks, dsa))
-                mu_aff = (
-                    sum(
-                        float(((xb + ap_aff * dx) * (sb + ad_aff * ds)).sum())
-                        for xb, dx, sb, ds in zip(xblocks, dxa, sblocks, dsa)
-                    )
-                    / n_cone
+            # predictor: pure Newton step toward complementarity zero
+            dxa, dya, dsa = newton(0.0, None)
+            ap_aff = min(1.0, _max_step(compiled, xblocks, dxa))
+            ad_aff = min(1.0, _max_step(compiled, sblocks, dsa))
+            mu_aff = (
+                sum(
+                    float(((xb + ap_aff * dx) * (sb + ad_aff * ds)).sum())
+                    for xb, dx, sb, ds in zip(xblocks, dxa, sblocks, dsa)
                 )
-                mu_aff = max(mu_aff, 0.0)
-                sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+                / n_cone
+            )
+            mu_aff = max(mu_aff, 0.0)
+            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-                # corrector: recentered step with the second-order term
-                dxb, dy, dsb = newton(sigma * mu, (dxa, dsa))
-            else:
-                # fixed-centering short step; slow but a useful cross-check
-                dxb, dy, dsb = newton(0.25 * mu, None)
-            ap = min(1.0, cfg.tau * _max_step(compiled, xblocks, dxb))
-            ad = min(1.0, cfg.tau * _max_step(compiled, sblocks, dsb))
+            # corrector: recentered step with the second-order term
+            dxb, dy, dsb = newton(sigma * mu, (dxa, dsa))
+            ap = min(1.0, _TAU * _max_step(compiled, xblocks, dxb))
+            ad = min(1.0, _TAU * _max_step(compiled, sblocks, dsb))
             if ap < _STALL_STEP and ad < _STALL_STEP:
                 stall += 1
                 if stall >= 3:

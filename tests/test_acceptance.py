@@ -2,8 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see every line; under a
 plain run the lines of failing criteria surface in the assertion message.
-The depth sweep and its per-cell resolves are shared module fixtures, so
-the full suite costs a couple of minutes, dominated by the sweep.
+The depth sweep is a shared module fixture whose rows keep their margin
+solutions, so the full suite costs under a minute, dominated by the sweep.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from sdpverify.oracle import exact_gamma
 from sdpverify.sdpform import (
     VARIANT_NAMES,
     Variant,
-    build_relaxation,
+    VariableLayout,
     build_strict_feasibility,
     strict_feasibility_value,
     to_standard_form,
@@ -113,33 +113,24 @@ def depth_sweep():
     return rows, time.perf_counter() - t0
 
 
-@pytest.fixture(scope="module")
-def sweep_solutions():
-    """Re-solve every sweep cell and keep the raw solver output.
+def _sweep_caps():
+    """Proved caps of every sweep cell's fixture, keyed by (depth, seed).
 
-    The sweep path is deterministic, so these are the same solutions the
-    CSV rows summarize, with the moment-matrix block available for the
-    bound checks.
+    Only the cheap parts are rebuilt here; the margin solutions come from
+    the `depth_sweep` rows.
     """
     cells = {}
     for depth in SWEEP_DEPTHS:
         for seed in SWEEP_SEEDS:
             net, center = random_instance(depth, SWEEP_WIDTH, seed=seed)
             prep = prepare_instance(net, center, SWEEP_RHO)
-            logits = forward(prep.net, center)
-            rest = [t for t in range(prep.net.output_dim) if t != prep.predicted]
-            target = max(rest, key=lambda t: (logits[t], -t))
-            shared = {
+            cells[(depth, seed)] = {
                 "prep": prep,
+                "layout": VariableLayout(prep.net.layer_sizes),
                 "T": trace_bounds(prep.net, center, SWEEP_RHO),
                 "caps": diagonal_bounds(prep.net, center, SWEEP_RHO),
                 "bound": min_eig_bound(prep.net, center, SWEEP_RHO),
             }
-            for name in VARIANT_NAMES:
-                prob = build_relaxation(prep.net, prep.bounds, target,
-                                        Variant.parse(name))
-                sol = solve(to_standard_form(prob), SolverConfig())
-                cells[(depth, seed, name)] = dict(shared, sol=sol, prob=prob)
     return cells
 
 
@@ -231,16 +222,19 @@ def test_criterion_05_rescue_by_loosening(depth_sweep):
     _criterion(5, ok, "; ".join(notes))
 
 
-def test_criterion_06_feasible_point_caps(sweep_solutions):
+def test_criterion_06_feasible_point_caps(depth_sweep):
+    rows, _ = depth_sweep
+    cells = _sweep_caps()
     checked = 0
     violations = []
-    for (depth, seed, name), cell in sweep_solutions.items():
-        sol = cell["sol"]
-        if sol.status != "Optimal":
+    for row in rows:
+        if row.solution.status != "Optimal":
             continue
         checked += 1
-        X = sol.xblocks[0]
-        layout = cell["prob"].layout
+        depth, seed, name = row.L, row.seed, row.variant
+        cell = cells[(depth, seed)]
+        X = row.solution.xblocks[0]
+        layout = cell["layout"]
         T, caps, bound = cell["T"], cell["caps"], cell["bound"]
         for i in range(cell["prep"].net.num_hidden + 1):
             sl = layout.layer_slice(i)
@@ -294,7 +288,7 @@ def test_criterion_08_wscale_invariance():
                f"{worst:.2e}, label flips = {flips}")
 
 
-def test_criterion_09_feasible_set_boundedness(sweep_solutions):
+def test_criterion_09_feasible_set_boundedness(depth_sweep):
     """Trace caps that the constraints prove for the box-driven formulations.
 
     problem-a: a box row plus the 2x2 minor P_0k^2 <= P_kk (with P_00 = 1)
@@ -306,13 +300,17 @@ def test_criterion_09_feasible_set_boundedness(sweep_solutions):
     entry (test_sdpform.test_trace_caps_on_lifted_points), so neither can
     be tightened; a returned solution above either has escaped its rows.
     """
+    rows, _ = depth_sweep
+    cells = _sweep_caps()
     worst_a = worst_b = -np.inf
     cell_a = cell_b = None
     checked_a = checked_b = 0
-    for (depth, seed, name), cell in sweep_solutions.items():
-        if cell["sol"].status != "Optimal":
+    for row in rows:
+        if row.solution.status != "Optimal":
             continue
-        tr = float(np.trace(cell["sol"].xblocks[0]))
+        depth, seed, name = row.L, row.seed, row.variant
+        cell = cells[(depth, seed)]
+        tr = float(np.trace(row.solution.xblocks[0]))
         if name == "problem-a":
             checked_a += 1
             excess = tr - box_trace_cap(cell["prep"].bounds)

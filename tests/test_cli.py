@@ -4,13 +4,17 @@ import filecmp
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_net
-from sdpverify.analysis import SWEEP_CSV_COLUMNS, format_sweep_csv
+from sdpverify.analysis import SWEEP_CSV_COLUMNS, format_sweep_csv, min_eigenvalue
 from sdpverify.cli import (
     SweepSpec,
     UsageError,
@@ -197,7 +201,8 @@ def test_sweep_row_census():
 
 def test_sweep_rows_match_verify_and_diagnose():
     """One pipeline, one answer: a sweep row carries the exact gamma of
-    `run_verify` and the exact lambda* of `run_diagnose` on its cell."""
+    `run_verify` and the exact lambda* of `run_diagnose` on its cell, and
+    its `solution` is that margin solve."""
     variants = ["base", "bremove", "problem-a"]
     trace = io.StringIO()
     rows = run_sweep(SweepSpec(depths=[4], seeds=[0], width=8, variants=variants),
@@ -208,6 +213,9 @@ def test_sweep_rows_match_verify_and_diagnose():
         variant = Variant.parse(row.variant)
         rep = run_verify(net, center, 0.1, variant, targets=[row.target])
         assert row.gamma == rep.targets[0].gamma
+        assert row.solution.status == row.status
+        assert row.solution.gap == row.gap
+        assert min_eigenvalue(row.solution.xblocks[0]) == rep.targets[0].lambda_min
         # with two output labels diagnose builds against the same target
         assert row.lambda_star == run_diagnose(net, center, 0.1, variant).lambda_star
     starts = [line for line in trace.getvalue().splitlines()
@@ -331,6 +339,21 @@ def test_gen_fixtures_cli(tmp_path, capsys):
     assert code == 0
     assert (out / "manifest.json").exists()
     assert "manifest.json" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    """`python -m sdpverify.cli` must not find `cli` imported already."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "fixtures"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sdpverify.cli",
+         "gen-fixtures", "--out", str(out), "--depths", "2", "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert str(out / "manifest.json") in proc.stdout
 
 
 def test_no_prune_flag(tmp_path, capsys):
