@@ -37,6 +37,7 @@ __all__ = [
     "BoundReport",
     "SweepRow",
     "SWEEP_CSV_COLUMNS",
+    "format_csv",
     "format_sweep_csv",
 ]
 
@@ -141,7 +142,6 @@ class VerificationReport:
     bound_method: str = "ibp"
     pruned_neurons: int = 0
     layer_sizes: list = field(default_factory=list)
-    lambda_star: float | None = None
     dscale: bool = False
     wscale: bool = False
 
@@ -177,6 +177,7 @@ SWEEP_CSV_COLUMNS = (
     "status",
     "gap",
     "lambda_star",
+    "radius_status",
     "min_eig_bound",
     "runtime_ms",
 )
@@ -187,7 +188,8 @@ class SweepRow:
     """One sweep cell: a (depth, seed, variant) verification plus diagnosis.
 
     `solution` is the margin solve behind `gamma`, `status` and `gap`; it is
-    not a CSV column.
+    not a CSV column.  `radius_status` is the status of the inscribed-ball
+    solve behind `lambda_star`.
     """
 
     seed: int
@@ -198,32 +200,28 @@ class SweepRow:
     status: str
     gap: float
     lambda_star: float
+    radius_status: str
     min_eig_bound: float
     runtime_ms: float
     solution: _solver.SdpSolution | None = field(
         default=None, repr=False, compare=False
     )
 
-    def csv_fields(self) -> list[str]:
-        return [
-            str(self.seed),
-            str(self.L),
-            self.variant,
-            str(self.target),
-            _num(self.gamma),
-            self.status,
-            _num(self.gap),
-            _num(self.lambda_star),
-            _num(self.min_eig_bound),
-            _num(self.runtime_ms),
-        ]
 
+def format_csv(columns, rows) -> str:
+    """CSV text: a header line of `columns`, then one line per row of values.
 
-def _num(v: float) -> str:
-    return f"{float(v):.10g}"
+    Floats print as `.10g`; every other value prints with `str`.
+    """
+    def cell(v):
+        return f"{v:.10g}" if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [",".join(columns)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def format_sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    lines.extend(",".join(r.csv_fields()) for r in rows)
-    return "\n".join(lines) + "\n"
+    return format_csv(
+        SWEEP_CSV_COLUMNS, ([getattr(r, c) for c in SWEEP_CSV_COLUMNS] for r in rows)
+    )

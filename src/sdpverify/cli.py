@@ -52,6 +52,7 @@ from .analysis import (
     SweepRow,
     TargetResult,
     VerificationReport,
+    format_csv,
     format_sweep_csv,
     min_eig_bound,
     min_eigenvalue,
@@ -296,7 +297,7 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
             for name in spec.variants:
                 t0 = clock()
                 prob, std = _relaxation(prep, target, Variant.parse(name))
-                lambda_star, _ = _radius(std, None, trace)
+                lambda_star, radius = _radius(std, None, trace)
                 gamma, sol = _margin(prob, std, None, trace)
                 rows.append(
                     SweepRow(
@@ -308,6 +309,7 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
                         status=sol.status,
                         gap=sol.gap,
                         lambda_star=lambda_star,
+                        radius_status=radius.status,
                         min_eig_bound=bound,
                         runtime_ms=(clock() - t0) * 1e3,
                         solution=sol,
@@ -538,27 +540,6 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _verify_csv(report):
-    lines = [",".join(_VERIFY_CSV_COLUMNS)]
-    for r in report.targets:
-        lines.append(
-            f"{r.target},{report.variant},{r.gamma:.10g},{r.status},"
-            f"{r.gap:.10g},{r.lambda_min:.10g},{r.runtime_ms:.10g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _compare_csv(result):
-    lines = [",".join(_COMPARE_CSV_COLUMNS)]
-    for entry in result["targets"]:
-        for name, cell in entry["variants"].items():
-            lines.append(
-                f"{entry['target']},{entry['gamma_star']:.10g},{name},"
-                f"{cell['gamma']:.10g},{cell['gap']:.10g},{cell['status']}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def _seeds_from(args):
     seeds = []
     for chunk in args.seed:
@@ -576,8 +557,13 @@ def _dispatch(args, trace):
             targets=targets, dscale=args.dscale, wscale=args.wscale,
             prune=not args.no_prune, gap_tol=args.gap_tol, trace=trace,
         )
-        _emit(report.to_json() if args.format == "json" else _verify_csv(report),
-              args.out)
+        if args.format == "json":
+            _emit(report.to_json(), args.out)
+        else:
+            _emit(format_csv(_VERIFY_CSV_COLUMNS, (
+                (r.target, report.variant, r.gamma, r.status, r.gap,
+                 r.lambda_min, r.runtime_ms) for r in report.targets
+            )), args.out)
         return EXIT_BY_VERDICT[report.verdict]
 
     if args.command == "diagnose":
@@ -613,7 +599,12 @@ def _dispatch(args, trace):
         if args.format == "json":
             _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
         else:
-            _emit(_compare_csv(result), args.out)
+            _emit(format_csv(_COMPARE_CSV_COLUMNS, (
+                (entry["target"], entry["gamma_star"], name, cell["gamma"],
+                 cell["gap"], cell["status"])
+                for entry in result["targets"]
+                for name, cell in entry["variants"].items()
+            )), args.out)
         return 0
 
     if args.command == "gen-fixtures":

@@ -103,7 +103,7 @@ class VariableLayout:
         return slice(off, off + self.sizes[layer])
 
 
-VARIANT_NAMES = ("base", "eps", "leaky", "bremove", "problem-a", "problem-b")
+VARIANT_NAMES = ("base", "eps", "leaky", "bremove", "problem-a")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ class Variant:
     leaky      relu-pos sloped by alpha, relu-comp one-sided
     bremove    box constraints kept only at the input layer
     problem-a  relu-comp dropped, boxes kept everywhere
-    problem-b  relu-comp kept, boxes only at the input layer
     """
 
     name: str
@@ -149,10 +148,6 @@ class Variant:
     @classmethod
     def problem_a(cls) -> "Variant":
         return cls("problem-a")
-
-    @classmethod
-    def problem_b(cls) -> "Variant":
-        return cls("problem-b")
 
     @classmethod
     def parse(cls, name: str, eps: float = 0.01, alpha: float = 0.01) -> "Variant":
@@ -354,7 +349,7 @@ def build_relaxation(
                 for j in range(n_out):
                     emit(comp_row(j), 0.0, "=", f"relu-comp[{i}][{j}]")
 
-    box_layers = [0] if variant.name in ("bremove", "problem-b") else range(H + 1)
+    box_layers = [0] if variant.name == "bremove" else range(H + 1)
     for i in box_layers:
         l, u = bounds.boxes[i]
         for j in range(layout.sizes[i]):
@@ -447,7 +442,7 @@ def dscale_diagonal(prob: SdpProblem) -> np.ndarray | None:
 
 
 def unscale_psd_block(prob: SdpProblem, X: np.ndarray) -> np.ndarray:
-    """Map a solution block of a scaled problem back to original coordinates."""
+    """Map a solution block of a scaled problem to original coordinates."""
     d = dscale_diagonal(prob)
     if d is None:
         return X

@@ -143,8 +143,8 @@ def test_criterion_01_soundness(soundness_table):
             worst = max(worst, gamma - rec["gamma_star"])
     ok = worst <= 1e-6 and elapsed < 60.0
     _criterion(1, ok,
-               f"20 nets x 6 variants, worst gamma_D - gamma* = {worst:.2e}, "
-               f"{elapsed:.1f}s")
+               f"20 nets x {len(VARIANT_NAMES)} variants, "
+               f"worst gamma_D - gamma* = {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_variant_nesting(soundness_table):
@@ -182,26 +182,31 @@ def test_criterion_03_inactive_neuron_vanishing():
 
 def test_criterion_04_depth_sweep_trend(depth_sweep):
     rows, elapsed = depth_sweep
-    medians = []
+    counts, medians = [], []
     for depth in SWEEP_DEPTHS:
-        lam = [r.lambda_star for r in rows if r.variant == "base" and r.L == depth]
-        assert len(lam) == len(SWEEP_SEEDS)
-        medians.append(statistics.median(lam))
+        base = [r for r in rows if r.variant == "base" and r.L == depth]
+        assert len(base) == len(SWEEP_SEEDS)
+        # a failed radius solve measures nothing; only Optimal radii count
+        lam = [r.lambda_star for r in base if r.radius_status == "Optimal"]
+        counts.append(len(lam))
+        medians.append(statistics.median(lam) if lam else np.nan)
     # non-increasing up to solver noise; ties happen when the added layers
     # are slack on the shared prefix of the nested fixtures
     monotone = all(b <= a + 1e-7 for a, b in zip(medians, medians[1:]))
-    ok = medians[0] > 0 and monotone and elapsed < 600.0
+    ok = min(counts) > 0 and medians[0] > 0 and monotone and elapsed < 600.0
     _criterion(4, ok,
-               "median lambda* by depth = ["
+               "median Optimal lambda* by depth = ["
                + ", ".join(f"{m:.3e}" for m in medians)
-               + f"], {elapsed:.0f}s")
+               + "] over " + "/".join(map(str, counts))
+               + f" seeds, {elapsed:.0f}s")
 
 
 def test_criterion_05_rescue_by_loosening(depth_sweep):
     rows, _ = depth_sweep
 
     def solved(variant):
-        return {(r.L, r.seed) for r in rows if r.variant == variant and r.gap < 1e-6}
+        return {(r.L, r.seed) for r in rows
+                if r.variant == variant and r.status == "Optimal" and r.gap < 1e-6}
 
     base = solved("base")
     ok = True
@@ -294,9 +299,9 @@ def test_criterion_09_feasible_set_boundedness(depth_sweep):
     problem-a: a box row plus the 2x2 minor P_0k^2 <= P_kk (with P_00 = 1)
     gives P_0k in [l_k, u_k], and then P_kk <= (l_k + u_k) P_0k - l_k u_k
     <= max(l_k^2, u_k^2), so tr(X) <= 1 + sum_i sum_k max(l_ik^2, u_ik^2).
-    problem-b: the trace recursion caps each layer block by T_i, and P_00
+    bremove: the trace recursion caps each layer block by T_i, and P_00
     lies in no block, so tr(X) <= 1 + sum_i T_i.  Lifted forward traces
-    attain the problem-a cap and exceed the problem-b cap less its unit
+    attain the problem-a cap and exceed the bremove cap less its unit
     entry (test_sdpform.test_trace_caps_on_lifted_points), so neither can
     be tightened; a returned solution above either has escaped its rows.
     """
@@ -316,7 +321,7 @@ def test_criterion_09_feasible_set_boundedness(depth_sweep):
             excess = tr - box_trace_cap(cell["prep"].bounds)
             if excess > worst_a:
                 worst_a, cell_a = excess, (depth, seed)
-        elif name == "problem-b":
+        elif name == "bremove":
             checked_b += 1
             excess = tr - (1.0 + float(cell["T"].sum()))
             if excess > worst_b:
@@ -326,7 +331,7 @@ def test_criterion_09_feasible_set_boundedness(depth_sweep):
     _criterion(9, ok_a and ok_b,
                f"box-row trace cap on {checked_a} problem-a cells, worst excess = "
                f"{worst_a:.4f} at {cell_a}; trace-recursion cap on {checked_b} "
-               f"problem-b cells, worst excess = {worst_b:.4f} at {cell_b}")
+               f"bremove cells, worst excess = {worst_b:.4f} at {cell_b}")
 
 
 def test_criterion_10_planted_solver_portfolio():

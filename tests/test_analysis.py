@@ -133,9 +133,10 @@ def test_reports_serialize_to_json():
 def test_sweep_csv_formatting():
     row = SweepRow(seed=0, L=2, variant="base", target=1,
                    gamma=0.123456789123, status="Optimal", gap=1e-9,
-                   lambda_star=0.25, min_eig_bound=3.25, runtime_ms=12.5)
+                   lambda_star=0.25, radius_status="NumericalFailure",
+                   min_eig_bound=3.25, runtime_ms=12.5)
     text = format_sweep_csv([row])
     header, line = text.splitlines()
     assert header == ",".join(SWEEP_CSV_COLUMNS)
-    assert line == "0,2,base,1,0.1234567891,Optimal,1e-09,0.25,3.25,12.5"
+    assert line == "0,2,base,1,0.1234567891,Optimal,1e-09,0.25,NumericalFailure,3.25,12.5"
     assert text.endswith("\n")

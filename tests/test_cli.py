@@ -27,8 +27,9 @@ from sdpverify.cli import (
     run_sweep,
     run_verify,
 )
+from sdpverify import cli
 from sdpverify.network import Network, load, save
-from sdpverify.sdpform import Variant
+from sdpverify.sdpform import VARIANT_NAMES, Variant
 
 TRACE_LINE = re.compile(r"^iter=\d+ mu=\S+ pres=\S+ dres=\S+ gap=\S+$")
 
@@ -151,16 +152,37 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["nonsense"]) == 3
 
 
-def test_verify_csv_output(tmp_path, capsys):
+def _capture(monkeypatch, name):
+    """Record every result `cli.<name>` returns while `main` runs."""
+    seen, real = [], getattr(cli, name)
+
+    def wrapped(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, wrapped)
+    return seen
+
+
+def test_verify_csv_output(tmp_path, capsys, monkeypatch):
+    reports = _capture(monkeypatch, "run_verify")
     robust = _save(_tiny(), tmp_path)
     code = main(["verify", "--net", robust, "--input", "1.0", "--rho", "0.5",
                  "--format", "csv"])
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    text = capsys.readouterr().out
+    lines = text.strip().splitlines()
     assert lines[0] == "target,variant,gamma,status,gap,lambda_min,runtime_ms"
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "1" and fields[1] == "base" and fields[3] == "Optimal"
+    # every number prints as .10g, exactly
+    (rep,) = reports
+    assert text == lines[0] + "\n" + "".join(
+        f"{r.target},{rep.variant},{r.gamma:.10g},{r.status},"
+        f"{r.gap:.10g},{r.lambda_min:.10g},{r.runtime_ms:.10g}\n"
+        for r in rep.targets
+    )
 
 
 def test_verify_target_flag(tmp_path, capsys):
@@ -232,6 +254,13 @@ def test_sweep_deterministic_with_injected_clock():
     one = run_sweep(SweepSpec(**spec), clock=fake_clock())
     two = run_sweep(SweepSpec(**spec), clock=fake_clock())
     assert format_sweep_csv(one) == format_sweep_csv(two)
+    # every number prints as .10g, exactly
+    assert format_sweep_csv(one) == ",".join(SWEEP_CSV_COLUMNS) + "\n" + "".join(
+        f"{r.seed},{r.L},{r.variant},{r.target},{r.gamma:.10g},{r.status},"
+        f"{r.gap:.10g},{r.lambda_star:.10g},{r.radius_status},"
+        f"{r.min_eig_bound:.10g},{r.runtime_ms:.10g}\n"
+        for r in one
+    )
 
 
 def test_sweep_cli_writes_csv(tmp_path):
@@ -269,14 +298,32 @@ def test_compare_tiny_is_tight():
     json.dumps(res)
 
 
-def test_compare_cli_csv(tmp_path, capsys):
+def test_compare_cli_csv(tmp_path, capsys, monkeypatch):
+    results = _capture(monkeypatch, "run_compare")
     path = _save(_tiny(), tmp_path)
     code = main(["compare", "--net", path, "--input", "1.0", "--rho", "0.5",
                  "--format", "csv"])
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    text = capsys.readouterr().out
+    lines = text.strip().splitlines()
     assert lines[0] == "target,gamma_star,variant,gamma,gap,status"
-    assert len(lines) == 7  # one row per variant
+    assert len(lines) == 1 + len(VARIANT_NAMES)  # one row per variant
+    (res,) = results
+    assert text == lines[0] + "\n" + "".join(
+        f"{e['target']},{e['gamma_star']:.10g},{name},"
+        f"{c['gamma']:.10g},{c['gap']:.10g},{c['status']}\n"
+        for e in res["targets"] for name, c in e["variants"].items()
+    )
+
+
+def test_removed_variant_name_is_usage_error(tmp_path, capsys):
+    """The name that built bremove's rows a second time is not a variant."""
+    path = _save(_tiny(), tmp_path)
+    for argv in (["verify", "--net", path, "--input", "1.0", "--rho", "0.5",
+                  "--variant"],
+                 ["sweep", "--depths", "2", "--seed", "0", "--variants"]):
+        assert main(argv + ["problem-b"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_fixture_generation_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Relaxation assembly, scaling, standard form, and the inscribed-ball recast."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -85,12 +87,9 @@ def test_variant_constraint_families(tiny_net):
     bounds = boxed(tiny_net, [1.0], 0.5)
 
     prob = build_relaxation(tiny_net, bounds, 1, Variant.bremove())
-    assert prob.num_constraints == 5  # hidden-layer box dropped
-    assert all("box[1]" not in c.label for c in prob.constraints)
-
-    prob = build_relaxation(tiny_net, bounds, 1, Variant.problem_b())
     assert _census(prob) == {"unit": 1, "relu-pos": 1, "relu-aff": 1,
                              "relu-comp": 1, "box": 1}
+    assert all("box[1]" not in c.label for c in prob.constraints)
 
     prob = build_relaxation(tiny_net, bounds, 1, Variant.problem_a())
     assert _census(prob) == {"unit": 1, "relu-pos": 1, "relu-aff": 1, "box": 2}
@@ -106,6 +105,22 @@ def test_variant_constraint_families(tiny_net):
     census = _census(prob)
     assert census["relu-leak"] == 1 and "relu-pos" not in census
     assert census["relu-comp-ub"] == 1  # one-sided under the leaky slope
+
+
+def test_variants_build_distinct_rows(tiny_net):
+    """No two variant names build the same constraint system."""
+    bounds = boxed(tiny_net, [1.0], 0.5)
+
+    def rows(name):
+        prob = build_relaxation(tiny_net, bounds, 1, Variant.parse(name))
+        return [(c.label, c.sense, c.rhs,
+                 sorted((k, sp.csr_matrix(A).toarray().tolist())
+                        for k, A in c.terms.items()))
+                for c in prob.constraints]
+
+    built = {name: rows(name) for name in VARIANT_NAMES}
+    for a, b in itertools.combinations(VARIANT_NAMES, 2):
+        assert built[a] != built[b], f"{a} and {b} build the same rows"
 
 
 def test_builder_is_deterministic(tiny_net):
@@ -154,7 +169,7 @@ def test_trace_caps_on_lifted_points(tiny_net):
     """Feasible rank-one points against the trace caps of criterion 9.
 
     The box rows prove tr(P) <= 1 + sum max(l^2, u^2) for problem-a, and
-    the trace recursion proves tr(P) <= 1 + sum T_i for problem-b; the
+    the trace recursion proves tr(P) <= 1 + sum T_i for bremove; the
     unit entry P_00 = 1 counts in both.  Lifted forward traces refute the
     half-sum cap and the cap without the unit entry, and attain the box cap.
     """
@@ -173,9 +188,9 @@ def test_trace_caps_on_lifted_points(tiny_net):
     tr, bounds = lifted(tiny_net, 1.5, Variant.problem_a())
     assert tr == box_trace_cap(bounds) == 5.5
 
-    # problem-b on a contracting layer, T = (2.25, 0.0325)
+    # bremove on a contracting layer, T = (2.25, 0.0325)
     shrunk = Network((np.array([[0.1]]),) + tiny_net.weights[1:], tiny_net.biases)
-    tr, _ = lifted(shrunk, 1.5, Variant.problem_b())
+    tr, _ = lifted(shrunk, 1.5, Variant.bremove())
     T = trace_bounds(shrunk, np.array([1.0]), 0.5)
     assert T.sum() < tr <= 1.0 + T.sum()
     assert abs(tr - 3.2725) <= 1e-12 and abs(1.0 + T.sum() - 3.2825) <= 1e-12
