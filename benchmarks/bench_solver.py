@@ -1,0 +1,77 @@
+"""Solver micro-benchmarks on one pinned instance (pytest-benchmark).
+
+    PYTHONPATH=src python3 -m pytest benchmarks/bench_solver.py \
+        --benchmark-json=bench.json
+
+The instance is the depth-12, width-8, seed-0 fixture of
+`cli.random_instance` with rho 0.1, pruned, against its first competitor
+label, under the `base` relaxation: the margin SDP in standard form (a
+psd block of order 70, a diagonal slack block of 203, 271 constraints)
+and its inscribed-ball form (the same plus a free block).  For each form
+it times the Schur assembly `solver._schur` at the final iterate and one
+full `solver.solve`, each after a discarded warm-up so that the first
+LAPACK call is not timed.  Every solve asserts its status and iteration
+count, so a faster run is never a different convergence.
+
+This directory is outside the test suite's `testpaths`; name the file to
+run it.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sdpverify import cli, solver  # noqa: E402
+from sdpverify.sdpform import Variant, build_strict_feasibility  # noqa: E402
+
+# (status, iterations) of each form's solve.  The same with one and two
+# OpenBLAS threads on a 2-core x86-64 machine.
+EXPECTED = {"margin": ("Optimal", 32), "radius": ("Optimal", 32)}
+
+
+@pytest.fixture(scope="module")
+def forms():
+    net, center = cli.random_instance(12, 8, seed=0)
+    prep = cli.prepare_instance(net, center, 0.1)
+    target = cli._competitors(prep, None)[0]
+    _, std = cli._relaxation(prep, target, Variant.base())
+    return {
+        "margin": (std, cli._config(None)),
+        "radius": (build_strict_feasibility(std), cli._config(None, default=1e-8)),
+    }
+
+
+def _check(name, sol):
+    assert (sol.status, sol.iterations) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_solve(benchmark, forms, name):
+    prob, config = forms[name]
+    sol = benchmark.pedantic(solver.solve, args=(prob, config),
+                             rounds=5, warmup_rounds=1)
+    _check(name, sol)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_schur_assembly(benchmark, forms, name):
+    prob, config = forms[name]
+    sol = solver.solve(prob, config)
+    _check(name, sol)
+    compiled = solver._compile(prob)
+    sinv = [
+        solver._psd_inverse(sla.cholesky(sb, lower=True)) if cb.kind == "psd"
+        else 1.0 / sb if cb.kind == "diag" else None
+        for cb, sb in zip(compiled, sol.sblocks)
+    ]
+    args = (compiled, sol.xblocks, sol.sblocks, sinv, prob.num_constraints)
+    M = benchmark.pedantic(solver._schur, args=args, rounds=50, iterations=1,
+                           warmup_rounds=5)
+    assert M.shape == (prob.num_constraints,) * 2 and np.isfinite(M).all()

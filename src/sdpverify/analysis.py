@@ -94,6 +94,7 @@ class TargetResult:
     target: int
     gamma: float
     status: str
+    iterations: int
     gap: float
     lambda_min: float
     runtime_ms: float
@@ -175,9 +176,11 @@ SWEEP_CSV_COLUMNS = (
     "target",
     "gamma",
     "status",
+    "iterations",
     "gap",
     "lambda_star",
     "radius_status",
+    "radius_iterations",
     "min_eig_bound",
     "runtime_ms",
 )
@@ -187,9 +190,10 @@ SWEEP_CSV_COLUMNS = (
 class SweepRow:
     """One sweep cell: a (depth, seed, variant) verification plus diagnosis.
 
-    `solution` is the margin solve behind `gamma`, `status` and `gap`; it is
-    not a CSV column.  `radius_status` is the status of the inscribed-ball
-    solve behind `lambda_star`.
+    `solution` is the margin solve behind `gamma`, `status`, `iterations`
+    and `gap`; it is not a CSV column.  `radius_status` and
+    `radius_iterations` belong to the inscribed-ball solve behind
+    `lambda_star`.
     """
 
     seed: int
@@ -198,9 +202,11 @@ class SweepRow:
     target: int
     gamma: float
     status: str
+    iterations: int
     gap: float
     lambda_star: float
     radius_status: str
+    radius_iterations: int
     min_eig_bound: float
     runtime_ms: float
     solution: _solver.SdpSolution | None = field(

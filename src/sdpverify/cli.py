@@ -78,8 +78,8 @@ __all__ = [
 
 EXIT_BY_VERDICT = {"Robust": 0, "Undetermined": 1, "SolverFailed": 2}
 
-_VERIFY_CSV_COLUMNS = ("target", "variant", "gamma", "status", "gap",
-                       "lambda_min", "runtime_ms")
+_VERIFY_CSV_COLUMNS = ("target", "variant", "gamma", "status", "iterations",
+                       "gap", "lambda_min", "runtime_ms")
 _COMPARE_CSV_COLUMNS = ("target", "gamma_star", "variant", "gamma", "gap",
                         "status")
 
@@ -212,6 +212,7 @@ def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
                 target=t,
                 gamma=gamma,
                 status=sol.status,
+                iterations=sol.iterations,
                 gap=sol.gap,
                 lambda_min=min_eigenvalue(X),
                 runtime_ms=elapsed_ms,
@@ -307,9 +308,11 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
                         target=target,
                         gamma=gamma,
                         status=sol.status,
+                        iterations=sol.iterations,
                         gap=sol.gap,
                         lambda_star=lambda_star,
                         radius_status=radius.status,
+                        radius_iterations=radius.iterations,
                         min_eig_bound=bound,
                         runtime_ms=(clock() - t0) * 1e3,
                         solution=sol,
@@ -561,8 +564,8 @@ def _dispatch(args, trace):
             _emit(report.to_json(), args.out)
         else:
             _emit(format_csv(_VERIFY_CSV_COLUMNS, (
-                (r.target, report.variant, r.gamma, r.status, r.gap,
-                 r.lambda_min, r.runtime_ms) for r in report.targets
+                (r.target, report.variant, r.gamma, r.status, r.iterations,
+                 r.gap, r.lambda_min, r.runtime_ms) for r in report.targets
             )), args.out)
         return EXIT_BY_VERDICT[report.verdict]
 

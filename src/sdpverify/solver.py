@@ -15,8 +15,10 @@ predictor-corrector:
 
 Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
-rows, so each column of M costs two thin matrix products; diagonal blocks
-collapse to elementwise scalar updates.
+rows r_j, so column j of M needs only V_j = X[:, r_j] (A_j[r_j, :] S^{-1}),
+formed in one stacked product per chunk of constraints with as many rows;
+diagonal blocks collapse to elementwise updates.  One Cholesky factor each
+of X and S per iteration serves S^{-1} and all four step lengths.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -64,6 +66,8 @@ _REG_LADDER = tuple(1e-12 * 10.0**k for k in range(7))
 _STALL_STEP = 1e-10
 # Fraction of the distance to the cone boundary taken by each step.
 _TAU = 0.95
+# Most constraints per stacked Schur product; bounds its (k, d, d) temporary.
+_SCHUR_CHUNK = 16
 
 
 class _NumericalProblem(Exception):
@@ -110,12 +114,20 @@ class SdpSolution:
 class _CompiledBlock:
     """Per-block constraint data in solver-friendly form."""
 
-    def __init__(self, kind, dim, C, Avec, rowsets):
+    def __init__(self, kind, dim, C, Avec, chunks):
         self.kind = kind
         self.dim = dim
         self.C = C  # dense (d, d) for psd, (d,) for diag
         self.Avec = Avec  # csr: (m, d*d) for psd, (m, d) for diag
-        self.rowsets = rowsets  # psd: per-constraint (row index set, A[rows, :])
+        self.AvecT = Avec.T.tocsr()
+        self.chunks = chunks  # psd: (ids, rows (k, r), A[rows, :] (k, r, d))
+        if chunks is not None:
+            # Avec on its nonzero columns c = a*d + b, each read off V_j[b, a]
+            used = np.unique(Avec.indices)
+            cols = np.searchsorted(used, Avec.indices)
+            self.Aused = sp.csr_matrix((Avec.data, cols, Avec.indptr),
+                                       shape=(Avec.shape[0], used.size))
+            self.vidx = (used % dim) * dim + used // dim
 
 
 def _compile(prob: SdpProblem):
@@ -133,7 +145,7 @@ def _compile(prob: SdpProblem):
                 coo = cmat.tocoo()
                 np.add.at(C, coo.row, coo.data)
         cons_all, idx_all, vals_all = [], [], []
-        rowsets = [None] * m if psd else None
+        by_size = {}
         for j, cons in enumerate(prob.constraints):
             mat = cons.terms.get(bidx)
             if mat is None:
@@ -148,7 +160,12 @@ def _compile(prob: SdpProblem):
                 slot = np.searchsorted(rset, coo.row)
                 Asub = np.zeros((rset.size, d))
                 np.add.at(Asub, (slot, coo.col), coo.data)
-                rowsets[j] = (rset, Asub)
+                by_size.setdefault(rset.size, []).append((j, rset, Asub))
+        chunks = [] if psd else None
+        for group in by_size.values():  # constraints with equally many rows
+            for lo in range(0, len(group), _SCHUR_CHUNK):
+                ids, rsets, subs = zip(*group[lo:lo + _SCHUR_CHUNK])
+                chunks.append((np.array(ids), np.stack(rsets), np.stack(subs)))
         shape = (m, d * d if psd else d)
         if cons_all:
             Avec = sp.coo_matrix(
@@ -160,7 +177,7 @@ def _compile(prob: SdpProblem):
             ).tocsr()
         else:
             Avec = sp.csr_matrix(shape)
-        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, rowsets))
+        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, chunks))
     return compiled
 
 
@@ -194,9 +211,9 @@ def _apply_A(compiled, xblocks) -> np.ndarray:
 
 def _apply_AT(cb: _CompiledBlock, y: np.ndarray):
     if cb.kind == "psd":
-        Aty = (cb.Avec.T @ y).reshape(cb.dim, cb.dim)
+        Aty = (cb.AvecT @ y).reshape(cb.dim, cb.dim)
         return (Aty + Aty.T) / 2.0
-    return cb.Avec.T @ y
+    return cb.AvecT @ y
 
 
 def _dual_residuals(compiled, y, sblocks):
@@ -204,15 +221,19 @@ def _dual_residuals(compiled, y, sblocks):
     return [cb.C - sb - _apply_AT(cb, y) for cb, sb in zip(compiled, sblocks)]
 
 
-def _residual_triplet(compiled, bvec, xblocks, y, rd_blocks):
+def _dual_scale(compiled):
+    """1 + ||C||_F, the denominator of the scaled dual residual."""
+    return 1.0 + np.sqrt(sum(float((cb.C**2).sum()) for cb in compiled))
+
+
+def _residual_triplet(compiled, bvec, dscale, xblocks, y, rd_blocks):
     m = bvec.size
     pres = 0.0
     if m:
         ax = _apply_A(compiled, xblocks)
         pres = float(np.max(np.abs(ax - bvec) / (1.0 + np.abs(bvec))))
     dual_sq = sum(float((rd**2).sum()) for rd in rd_blocks)
-    c_sq = sum(float((cb.C**2).sum()) for cb in compiled)
-    dres = float(np.sqrt(dual_sq) / (1.0 + np.sqrt(c_sq)))
+    dres = float(np.sqrt(dual_sq) / dscale)
     pobj = sum(float((cb.C * xb).sum()) for cb, xb in zip(compiled, xblocks))
     dobj = float(bvec @ y) if m else 0.0
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
@@ -229,7 +250,7 @@ def residuals(prob: SdpProblem, xblocks, y, sblocks) -> tuple[float, float, floa
     compiled = _compile(prob)
     y = np.asarray(y, dtype=float)
     pres, dres, gap, _, _ = _residual_triplet(
-        compiled, prob.rhs_vector(), xblocks, y,
+        compiled, prob.rhs_vector(), _dual_scale(compiled), xblocks, y,
         _dual_residuals(compiled, y, sblocks),
     )
     return pres, dres, gap
@@ -252,25 +273,44 @@ def _chol_factor_schur(M: np.ndarray):
     raise _NumericalProblem("Schur complement factorization failed")
 
 
-def _psd_inverse(Smat: np.ndarray) -> np.ndarray:
+def _schur(compiled, xblocks, sblocks, sinv, m) -> np.ndarray:
+    """M_jk = tr(A_j X A_k S^{-1}) over the blocks, symmetrized; bit for bit
+    the per-constraint column loop that test_solver keeps as reference."""
+    M = np.zeros((m, m))
+    for cb, xb, sb, si in zip(compiled, xblocks, sblocks, sinv):
+        if cb.Avec.nnz == 0 or cb.kind == "free":
+            continue
+        if cb.kind == "diag":
+            weighted = cb.Avec.multiply(xb / sb)
+            M += (weighted @ cb.Avec.T).toarray()
+            continue
+        for ids, rows, Asub in cb.chunks:
+            # V_j = X[:, rows_j] @ (A_j[rows_j, :] @ S^{-1}), one per slice
+            V = xb[:, rows].transpose(1, 0, 2) @ (Asub @ si)
+            M[:, ids] += cb.Aused @ V.reshape(ids.size, -1).T[cb.vidx]
+            del V  # free the (k, d, d) stack before the next chunk forms its own
+    return (M + M.T) / 2.0
+
+
+def _cone_factor(mat: np.ndarray, side: str) -> np.ndarray:
+    """Lower Cholesky factor of a psd iterate, which is finite by construction."""
     try:
-        L = sla.cholesky(Smat, lower=True)
+        return sla.cholesky(mat, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise _NumericalProblem("dual iterate left the cone") from exc
-    inv = sla.cho_solve((L, True), np.eye(Smat.shape[0]))
+        raise _NumericalProblem(f"{side} iterate left the cone") from exc
+
+
+def _psd_inverse(L: np.ndarray) -> np.ndarray:
+    inv = sla.cho_solve((L, True), np.eye(L.shape[0]), check_finite=False)
     return (inv + inv.T) / 2.0
 
 
-def _max_step_psd(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest t with X + t dX still positive semidefinite."""
+def _max_step_psd(L: np.ndarray, dX: np.ndarray) -> float:
+    """Largest t with L L^T + t dX still positive semidefinite."""
     if not np.isfinite(dX).all():
         raise _NumericalProblem("non-finite direction")
-    try:
-        L = sla.cholesky(X, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise _NumericalProblem("primal iterate left the cone") from exc
-    W = sla.solve_triangular(L, dX, lower=True)
-    W = sla.solve_triangular(L, W.T, lower=True)
+    W = sla.solve_triangular(L, dX, lower=True, check_finite=False)
+    W = sla.solve_triangular(L, W.T, lower=True, check_finite=False)
     lam = float(sla.eigvalsh((W + W.T) / 2.0)[0])
     return np.inf if lam >= 0.0 else -1.0 / lam
 
@@ -284,9 +324,10 @@ def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
-def _max_step(compiled, xblocks, dxblocks) -> float:
+def _max_step(compiled, cones, dxblocks) -> float:
+    """Largest step along `dxblocks`; `cones`: psd factors, diagonal iterates."""
     step = np.inf
-    for cb, xb, dxb in zip(compiled, xblocks, dxblocks):
+    for cb, xb, dxb in zip(compiled, cones, dxblocks):
         if cb.kind == "free":
             if not np.isfinite(dxb).all():
                 raise _NumericalProblem("non-finite direction")
@@ -326,6 +367,7 @@ def solve(
             free_slices[bi] = slice(offset, offset + cb.dim)
             offset += cb.dim
 
+    dscale = _dual_scale(compiled)
     mu0 = max(1.0, 100.0 * _max_coefficient(prob, compiled))
     xblocks = []
     sblocks = []
@@ -345,7 +387,7 @@ def solve(
 
     def snapshot(status: str, k: int) -> SdpSolution:
         pres, dres, gap, pobj, dobj = _residual_triplet(
-            compiled, bvec, xblocks, y, _dual_residuals(compiled, y, sblocks)
+            compiled, bvec, dscale, xblocks, y, _dual_residuals(compiled, y, sblocks)
         )
         return SdpSolution(
             status=status,
@@ -369,7 +411,8 @@ def solve(
         nonlocal xblocks, y, sblocks
         if best_state is not None:
             pres, dres, gap, _, _ = _residual_triplet(
-                compiled, bvec, xblocks, y, _dual_residuals(compiled, y, sblocks)
+                compiled, bvec, dscale, xblocks, y,
+                _dual_residuals(compiled, y, sblocks),
             )
             if best_score < max(pres, dres, gap):
                 xblocks, y, sblocks = best_state
@@ -381,7 +424,7 @@ def solve(
         for k in range(cfg.max_iter):
             rd_blocks = _dual_residuals(compiled, y, sblocks)
             pres, dres, gap, pobj, _ = _residual_triplet(
-                compiled, bvec, xblocks, y, rd_blocks
+                compiled, bvec, dscale, xblocks, y, rd_blocks
             )
             mu = (
                 sum(float((xb * sb).sum()) for xb, sb in zip(xblocks, sblocks))
@@ -405,32 +448,19 @@ def solve(
                     [np.array(sb) for sb in sblocks],
                 )
 
-            sinv = []
-            for cb, sb in zip(compiled, sblocks):
+            # psd blocks: S^{-1} and both step lengths from one factor each
+            sinv, xcones, scones = [], list(xblocks), list(sblocks)
+            for bi, cb in enumerate(compiled):
                 if cb.kind == "psd":
-                    sinv.append(_psd_inverse(sb))
+                    scones[bi] = _cone_factor(sblocks[bi], "dual")
+                    sinv.append(_psd_inverse(scones[bi]))
+                    xcones[bi] = _cone_factor(xblocks[bi], "primal")
                 elif cb.kind == "diag":
-                    sinv.append(1.0 / sb)
+                    sinv.append(1.0 / sblocks[bi])
                 else:
                     sinv.append(None)
 
-            # Schur complement M_jk = tr(A_j X A_k S^{-1}), blockwise.
-            M = np.zeros((m, m))
-            for cb, xb, sb, si in zip(compiled, xblocks, sblocks, sinv):
-                if cb.Avec.nnz == 0 or cb.kind == "free":
-                    continue
-                if cb.kind == "diag":
-                    weighted = cb.Avec.multiply(xb / sb)
-                    M += (weighted @ cb.Avec.T).toarray()
-                else:
-                    for j in range(m):
-                        rs = cb.rowsets[j]
-                        if rs is None:
-                            continue
-                        rows, Asub = rs
-                        V = xb[:, rows] @ (Asub @ si)
-                        M[:, j] += cb.Avec @ V.T.ravel()
-            M = (M + M.T) / 2.0
+            M = _schur(compiled, xblocks, sblocks, sinv, m)
             factor = _chol_factor_schur(M) if m else None
             BtMiB_factor = None
             MiB = None
@@ -513,8 +543,8 @@ def solve(
 
             # predictor: pure Newton step toward complementarity zero
             dxa, dya, dsa = newton(0.0, None)
-            ap_aff = min(1.0, _max_step(compiled, xblocks, dxa))
-            ad_aff = min(1.0, _max_step(compiled, sblocks, dsa))
+            ap_aff = min(1.0, _max_step(compiled, xcones, dxa))
+            ad_aff = min(1.0, _max_step(compiled, scones, dsa))
             mu_aff = (
                 sum(
                     float(((xb + ap_aff * dx) * (sb + ad_aff * ds)).sum())
@@ -527,8 +557,8 @@ def solve(
 
             # corrector: recentered step with the second-order term
             dxb, dy, dsb = newton(sigma * mu, (dxa, dsa))
-            ap = min(1.0, _TAU * _max_step(compiled, xblocks, dxb))
-            ad = min(1.0, _TAU * _max_step(compiled, sblocks, dsb))
+            ap = min(1.0, _TAU * _max_step(compiled, xcones, dxb))
+            ad = min(1.0, _TAU * _max_step(compiled, scones, dsb))
             if ap < _STALL_STEP and ad < _STALL_STEP:
                 stall += 1
                 if stall >= 3:

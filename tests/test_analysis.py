@@ -96,8 +96,8 @@ def test_min_eigenvalue():
 
 
 def _result(gamma=0.3, status="Optimal"):
-    return TargetResult(target=1, gamma=gamma, status=status, gap=1e-8,
-                        lambda_min=0.01, runtime_ms=1.0)
+    return TargetResult(target=1, gamma=gamma, status=status, iterations=9,
+                        gap=1e-8, lambda_min=0.01, runtime_ms=1.0)
 
 
 def test_verdict_rules():
@@ -120,6 +120,7 @@ def test_reports_serialize_to_json():
     data = json.loads(rep.to_json())
     assert data["verdict"] == "Robust"
     assert data["targets"][0]["gamma"] == pytest.approx(0.3)
+    assert data["targets"][0]["iterations"] == 9
     bound = BoundReport(
         variant="base", lambda_star=np.float64(0.25), status="Optimal",
         gap=1e-9, iterations=12, min_eig_bound=3.25,
@@ -132,11 +133,12 @@ def test_reports_serialize_to_json():
 
 def test_sweep_csv_formatting():
     row = SweepRow(seed=0, L=2, variant="base", target=1,
-                   gamma=0.123456789123, status="Optimal", gap=1e-9,
-                   lambda_star=0.25, radius_status="NumericalFailure",
-                   min_eig_bound=3.25, runtime_ms=12.5)
+                   gamma=0.123456789123, status="Optimal", iterations=17,
+                   gap=1e-9, lambda_star=0.25, radius_status="NumericalFailure",
+                   radius_iterations=42, min_eig_bound=3.25, runtime_ms=12.5)
     text = format_sweep_csv([row])
     header, line = text.splitlines()
     assert header == ",".join(SWEEP_CSV_COLUMNS)
-    assert line == "0,2,base,1,0.1234567891,Optimal,1e-09,0.25,NumericalFailure,3.25,12.5"
+    assert line == ("0,2,base,1,0.1234567891,Optimal,17,1e-09,0.25,"
+                    "NumericalFailure,42,3.25,12.5")
     assert text.endswith("\n")

@@ -172,14 +172,15 @@ def test_verify_csv_output(tmp_path, capsys, monkeypatch):
     assert code == 0
     text = capsys.readouterr().out
     lines = text.strip().splitlines()
-    assert lines[0] == "target,variant,gamma,status,gap,lambda_min,runtime_ms"
+    assert lines[0] == ("target,variant,gamma,status,iterations,gap,lambda_min,"
+                        "runtime_ms")
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "1" and fields[1] == "base" and fields[3] == "Optimal"
     # every number prints as .10g, exactly
     (rep,) = reports
     assert text == lines[0] + "\n" + "".join(
-        f"{r.target},{rep.variant},{r.gamma:.10g},{r.status},"
+        f"{r.target},{rep.variant},{r.gamma:.10g},{r.status},{r.iterations},"
         f"{r.gap:.10g},{r.lambda_min:.10g},{r.runtime_ms:.10g}\n"
         for r in rep.targets
     )
@@ -237,9 +238,12 @@ def test_sweep_rows_match_verify_and_diagnose():
         assert row.gamma == rep.targets[0].gamma
         assert row.solution.status == row.status
         assert row.solution.gap == row.gap
+        assert row.solution.iterations == row.iterations == rep.targets[0].iterations
         assert min_eigenvalue(row.solution.xblocks[0]) == rep.targets[0].lambda_min
         # with two output labels diagnose builds against the same target
-        assert row.lambda_star == run_diagnose(net, center, 0.1, variant).lambda_star
+        diag = run_diagnose(net, center, 0.1, variant)
+        assert row.lambda_star == diag.lambda_star
+        assert row.radius_iterations == diag.iterations
     starts = [line for line in trace.getvalue().splitlines()
               if line.startswith("iter=0 ")]
     assert len(starts) == 2 * len(rows)
@@ -257,8 +261,8 @@ def test_sweep_deterministic_with_injected_clock():
     # every number prints as .10g, exactly
     assert format_sweep_csv(one) == ",".join(SWEEP_CSV_COLUMNS) + "\n" + "".join(
         f"{r.seed},{r.L},{r.variant},{r.target},{r.gamma:.10g},{r.status},"
-        f"{r.gap:.10g},{r.lambda_star:.10g},{r.radius_status},"
-        f"{r.min_eig_bound:.10g},{r.runtime_ms:.10g}\n"
+        f"{r.iterations},{r.gap:.10g},{r.lambda_star:.10g},{r.radius_status},"
+        f"{r.radius_iterations},{r.min_eig_bound:.10g},{r.runtime_ms:.10g}\n"
         for r in one
     )
 

@@ -8,8 +8,24 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import planted_instance
-from sdpverify.sdpform import Block, Constraint, SdpProblem
-from sdpverify.solver import _TAU, SdpSolution, SolverConfig, residuals, solve
+from sdpverify.cli import _competitors, _relaxation, prepare_instance, random_instance
+from sdpverify.sdpform import (
+    Block,
+    Constraint,
+    SdpProblem,
+    Variant,
+    build_strict_feasibility,
+)
+from sdpverify.solver import (
+    _TAU,
+    SdpSolution,
+    SolverConfig,
+    _compile,
+    _psd_inverse,
+    _schur,
+    residuals,
+    solve,
+)
 
 TRACE_LINE = re.compile(
     r"^iter=\d+ mu=\S+ pres=\S+ dres=\S+ gap=\S+$"
@@ -166,3 +182,97 @@ def test_solution_reports_are_consistent():
     # cone iterates stay (numerically) inside the cone
     eigs = np.linalg.eigvalsh(sol.xblocks[0])
     assert eigs.min() >= -1e-7
+
+
+def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
+    """The Schur assembly as one column loop per psd constraint, which the
+    batched `_schur` replaced; kept to pin its floating-point operations."""
+    m = prob.num_constraints
+    M = np.zeros((m, m))
+    for bidx, (cb, xb, sb, si) in enumerate(zip(compiled, xblocks, sblocks, sinv)):
+        if cb.Avec.nnz == 0 or cb.kind == "free":
+            continue
+        if cb.kind == "diag":
+            weighted = cb.Avec.multiply(xb / sb)
+            M += (weighted @ cb.Avec.T).toarray()
+            continue
+        for j, cons in enumerate(prob.constraints):
+            mat = cons.terms.get(bidx)
+            if mat is None:
+                continue
+            coo = mat.tocoo()
+            coo.sum_duplicates()
+            rows = np.unique(coo.row)
+            Asub = np.zeros((rows.size, cb.dim))
+            np.add.at(Asub, (np.searchsorted(rows, coo.row), coo.col), coo.data)
+            V = xb[:, rows] @ (Asub @ si)
+            M[:, j] += cb.Avec @ V.T.ravel()
+    return (M + M.T) / 2.0
+
+
+def _interior_point(rng, prob):
+    """Random strictly interior X and S, bitwise symmetric like the iterates."""
+    xblocks, sblocks = [], []
+    for blk in prob.blocks:
+        if blk.kind == "psd":
+            pair = []
+            for _ in range(2):
+                G = rng.normal(size=(blk.dim, blk.dim))
+                P = G @ G.T + blk.dim * np.eye(blk.dim)
+                pair.append((P + P.T) / 2.0)
+        elif blk.kind == "diag":
+            pair = list(rng.uniform(0.5, 2.0, size=(2, blk.dim)))
+        else:
+            pair = [rng.normal(size=blk.dim), np.zeros(blk.dim)]
+        xblocks.append(pair[0])
+        sblocks.append(pair[1])
+    return xblocks, sblocks
+
+
+def _hand_built():
+    """Constraint 1 has no psd term, constraint 3 an empty one; the second
+    psd block appears in no constraint."""
+    def coo(rows, cols, vals, d):
+        return sp.coo_matrix((vals, (rows, cols)), shape=(d, d))
+
+    blocks = (Block("psd", 4), Block("psd", 3), Block("diag", 2))
+    cons = [
+        Constraint({0: coo([0, 2], [2, 0], [1.0, 1.0], 4),
+                    2: coo([0], [0], [1.0], 2)}, 1.0, "=", "c0"),
+        Constraint({2: coo([1], [1], [2.0], 2)}, 1.0, "=", "c1"),
+        Constraint({0: coo([1, 1, 3], [1, 3, 1], [3.0, -1.0, -1.0], 4)},
+                   0.0, "=", "c2"),
+        Constraint({0: coo([], [], [], 4), 2: coo([0], [0], [1.0], 2)},
+                   2.0, "=", "c3"),
+    ]
+    objective = {1: sp.coo_matrix(np.eye(3))}
+    return SdpProblem(blocks=blocks, objective=objective, obj_offset=0.0,
+                      constraints=cons)
+
+
+def test_schur_assembly_matches_per_constraint_loop():
+    """The batched assembly repeats the column loop's arithmetic bit for bit."""
+    net, center = random_instance(12, 8, seed=0)
+    prep = prepare_instance(net, center, 0.1)
+    target = _competitors(prep, None)[0]
+    problems = []
+    for variant in (Variant.base(), Variant.epsilon(), Variant.bremove()):
+        _, std = _relaxation(prep, target, variant)
+        problems.append(std)
+    problems.append(build_strict_feasibility(problems[0]))
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        problems.append(planted_instance(rng, (5, 3), (4,))[0])
+    problems.append(_hand_built())
+    for prob in problems:
+        compiled = _compile(prob)
+        xblocks, sblocks = _interior_point(rng, prob)
+        sinv = [
+            _psd_inverse(np.linalg.cholesky(sb)) if cb.kind == "psd"
+            else 1.0 / sb if cb.kind == "diag" else None
+            for cb, sb in zip(compiled, sblocks)
+        ]
+        M = _schur(compiled, xblocks, sblocks, sinv, prob.num_constraints)
+        ref = _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv)
+        assert np.array_equal(M, ref)
+        assert np.any(M != 0.0)
