@@ -9,9 +9,13 @@ label, under the `base` relaxation: the margin SDP in standard form (a
 psd block of order 70, a diagonal slack block of 203, 271 constraints)
 and its inscribed-ball form (the same plus a free block).  For each form
 it times the Schur assembly `solver._schur` at the final iterate and one
-full `solver.solve`, each after a discarded warm-up so that the first
-LAPACK call is not timed.  Every solve asserts its status and iteration
-count, so a faster run is never a different convergence.
+full `solver.solve`; on the margin form also one step-length call
+`solver._max_step_psd` at the final iterate.  It also times one solve of
+the first linear program that `oracle.exact_gamma` hands the solver on
+the depth-2, width-8, seed-0 fixture (diagonal blocks of 2, 1 and 6
+slacks, 6 constraints).  Every timing follows a discarded warm-up so that
+the first LAPACK call is not timed.  Every solve asserts its status and
+iteration count, so a faster run is never a different convergence.
 
 This directory is outside the test suite's `testpaths`; name the file to
 run it.
@@ -28,12 +32,13 @@ import scipy.linalg as sla
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sdpverify import cli, solver  # noqa: E402
+from sdpverify import cli, oracle, solver  # noqa: E402
 from sdpverify.sdpform import Variant, build_strict_feasibility  # noqa: E402
 
 # (status, iterations) of each form's solve.  The same with one and two
 # OpenBLAS threads on a 2-core x86-64 machine.
 EXPECTED = {"margin": ("Optimal", 32), "radius": ("Optimal", 32)}
+LP_EXPECTED = ("Optimal", 15)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +51,24 @@ def forms():
         "margin": (std, cli._config(None)),
         "radius": (build_strict_feasibility(std), cli._config(None, default=1e-8)),
     }
+
+
+@pytest.fixture(scope="module")
+def oracle_lp():
+    """The first standard-form LP of `exact_gamma` on the depth-2 fixture."""
+    net, center = cli.random_instance(2, 8, seed=0)
+    prep = cli.prepare_instance(net, center, 0.1)
+    seen = []
+    real = solver.solve
+
+    def record(prob, config=None, trace=None):
+        seen.append((prob, config))
+        return real(prob, config, trace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve", record)
+        oracle.exact_gamma(prep.net, prep.bounds, cli._competitors(prep, None)[0])
+    return seen[0]
 
 
 def _check(name, sol):
@@ -75,3 +98,22 @@ def test_schur_assembly(benchmark, forms, name):
     M = benchmark.pedantic(solver._schur, args=args, rounds=50, iterations=1,
                            warmup_rounds=5)
     assert M.shape == (prob.num_constraints,) * 2 and np.isfinite(M).all()
+
+
+def test_oracle_lp_solve(benchmark, oracle_lp):
+    prob, config = oracle_lp
+    sol = benchmark.pedantic(solver.solve, args=(prob, config),
+                             rounds=200, warmup_rounds=5)
+    assert (sol.status, sol.iterations) == LP_EXPECTED
+
+
+def test_max_step_psd(benchmark, forms):
+    """Step from the margin solve's final X towards its final S."""
+    prob, config = forms["margin"]
+    sol = solver.solve(prob, config)
+    _check("margin", sol)
+    X, S = sol.xblocks[0], sol.sblocks[0]
+    L = sla.cholesky(X, lower=True)
+    step = benchmark.pedantic(solver._max_step_psd, args=(L, S - X),
+                              rounds=200, iterations=1, warmup_rounds=5)
+    assert 0.0 < step < np.inf

@@ -183,6 +183,8 @@ SWEEP_CSV_COLUMNS = (
     "radius_iterations",
     "min_eig_bound",
     "runtime_ms",
+    "radius_ms",
+    "margin_ms",
 )
 
 
@@ -193,7 +195,8 @@ class SweepRow:
     `solution` is the margin solve behind `gamma`, `status`, `iterations`
     and `gap`; it is not a CSV column.  `radius_status` and
     `radius_iterations` belong to the inscribed-ball solve behind
-    `lambda_star`.
+    `lambda_star`.  `runtime_ms` is the whole cell, the relaxation build
+    included; `radius_ms` and `margin_ms` time the two solves alone.
     """
 
     seed: int
@@ -209,6 +212,8 @@ class SweepRow:
     radius_iterations: int
     min_eig_bound: float
     runtime_ms: float
+    radius_ms: float
+    margin_ms: float
     solution: _solver.SdpSolution | None = field(
         default=None, repr=False, compare=False
     )

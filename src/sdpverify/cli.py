@@ -281,11 +281,11 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
     Each (depth, seed) cell draws its fixture from `random_instance` and
     targets the highest-logit competitor (ties to the lower label).  Each
     variant is built once; the radius solve and then the margin solve run
-    on the same standard form, and a row's `runtime_ms` covers the build
-    and both solves.  A row's `solution` is the margin solve's final
-    iterate on that standard form, so `solution.xblocks[0]` is the moment
-    matrix of the relaxation.  Rows come out in (depth, seed, variant)
-    order.
+    on the same standard form.  A row's `runtime_ms` covers the build and
+    both solves, `radius_ms` and `margin_ms` each solve alone.  A row's
+    `solution` is the margin solve's final iterate on that standard form,
+    so `solution.xblocks[0]` is the moment matrix of the relaxation.  Rows
+    come out in (depth, seed, variant) order.
     """
     rows = []
     for depth in spec.depths:
@@ -298,8 +298,11 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
             for name in spec.variants:
                 t0 = clock()
                 prob, std = _relaxation(prep, target, Variant.parse(name))
+                t1 = clock()
                 lambda_star, radius = _radius(std, None, trace)
+                t2 = clock()
                 gamma, sol = _margin(prob, std, None, trace)
+                t3 = clock()
                 rows.append(
                     SweepRow(
                         seed=seed,
@@ -314,7 +317,9 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
                         radius_status=radius.status,
                         radius_iterations=radius.iterations,
                         min_eig_bound=bound,
-                        runtime_ms=(clock() - t0) * 1e3,
+                        runtime_ms=(t3 - t0) * 1e3,
+                        radius_ms=(t2 - t1) * 1e3,
+                        margin_ms=(t3 - t2) * 1e3,
                         solution=sol,
                     )
                 )

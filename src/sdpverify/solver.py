@@ -16,9 +16,13 @@ predictor-corrector:
 Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
 rows r_j, so column j of M needs only V_j = X[:, r_j] (A_j[r_j, :] S^{-1}),
-formed in one stacked product per chunk of constraints with as many rows;
-diagonal blocks collapse to elementwise updates.  One Cholesky factor each
-of X and S per iteration serves S^{-1} and all four step lengths.
+formed in one stacked product per chunk of constraints with as many rows.
+A diagonal block adds Avec diag(x/s) Avec^T, whose sparsity pattern is
+found once per solve, so each iteration costs one weighted bincount.  One
+Cholesky factor each of X and S per iteration serves S^{-1} and all four
+step lengths.  Factorizations, solves and eigenvalues call LAPACK directly
+with the arguments scipy.linalg would pass, without its per-call checks,
+so the iterates are bit for bit those of the scipy.linalg calls.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -35,10 +39,11 @@ Everything is deterministic: same problem and config, same iterates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dsyevr_lwork, dtrtrs
 
 from .sdpform import SdpProblem
 
@@ -121,13 +126,32 @@ class _CompiledBlock:
         self.Avec = Avec  # csr: (m, d*d) for psd, (m, d) for diag
         self.AvecT = Avec.T.tocsr()
         self.chunks = chunks  # psd: (ids, rows (k, r), A[rows, :] (k, r, d))
-        if chunks is not None:
+        if kind == "psd":
             # Avec on its nonzero columns c = a*d + b, each read off V_j[b, a]
             used = np.unique(Avec.indices)
             cols = np.searchsorted(used, Avec.indices)
             self.Aused = sp.csr_matrix((Avec.data, cols, Avec.indptr),
                                        shape=(Avec.shape[0], used.size))
             self.vidx = (used % dim) * dim + used // dim
+        elif kind == "diag":
+            self._diag_pattern()
+
+    def _diag_pattern(self):
+        """Triples (i, j, k) of M_ij += (A_ik w_k) A_jk in the order scipy's
+        csr_matmat visits them for (Avec diag(w)) @ Avec^T: rows i
+        ascending, then row i's stored columns k, then column k's stored
+        rows j.  Summing in that order by bincount reproduces its M."""
+        A, AT = self.Avec, self.AvecT
+        m = A.shape[0]
+        per_entry = np.diff(AT.indptr)[A.indices]  # rows j under entry (i, k)
+        self.entry = np.repeat(np.arange(A.nnz), per_entry)
+        first = np.cumsum(per_entry) - per_entry
+        pos = np.arange(self.entry.size) + np.repeat(
+            AT.indptr[A.indices] - first, per_entry
+        )
+        rows = np.repeat(np.arange(m), np.diff(A.indptr))
+        self.pair = rows[self.entry] * m + AT.indices[pos]
+        self.right = AT.data[pos]
 
 
 def _compile(prob: SdpProblem):
@@ -256,20 +280,58 @@ def residuals(prob: SdpProblem, xblocks, y, sblocks) -> tuple[float, float, floa
     return pres, dres, gap
 
 
+def _potrf(a: np.ndarray, clean: int):
+    """Lower Cholesky factor by dpotrf with the flags of scipy's `cholesky`
+    (clean=1) or `cho_factor` (clean=0); None if `a` is not positive
+    definite."""
+    c, info = dpotrf(a, lower=1, clean=clean)
+    return None if info > 0 else c
+
+
+def _potrs(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} b by dpotrs, as scipy's `cho_solve((L, True), b)`."""
+    return dpotrs(L, b, lower=1)[0]
+
+
+def _trtrs(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b by dtrtrs, as scipy's `solve_triangular(L, b, lower=True)`:
+    a factor that is not Fortran-ordered goes in as its transpose."""
+    if L.flags.f_contiguous:
+        return dtrtrs(L, b, lower=1, trans=0)[0]
+    return dtrtrs(L.T, b, lower=0, trans=1)[0]
+
+
+@lru_cache(maxsize=64)
+def _syevr_work(n: int) -> tuple[int, int]:
+    """(lwork, liwork) that scipy's `eigvalsh` passes dsyevr for order n."""
+    work, iwork, _ = dsyevr_lwork(n, lower=1)
+    return int(work), int(iwork)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues by dsyevr, as scipy's `eigvalsh(a)`."""
+    if not np.isfinite(a).all():
+        raise _NumericalProblem("non-finite direction")
+    lwork, liwork = _syevr_work(a.shape[0])
+    w, _, _, _, info = dsyevr(a, compute_v=0, range="A", lower=1,
+                              lwork=lwork, liwork=liwork)
+    if info:
+        raise _NumericalProblem("eigenvalue iteration failed")
+    return w
+
+
 def _chol_factor_schur(M: np.ndarray):
     if not np.isfinite(M).all():
         raise _NumericalProblem("non-finite Schur complement")
     scale = max(1.0, float(np.abs(np.diag(M)).max())) if M.size else 1.0
-    try:
-        return sla.cho_factor(M, lower=True)
-    except np.linalg.LinAlgError:
-        pass
+    L = _potrf(M, clean=0)
+    if L is not None:
+        return L
     eye = np.eye(M.shape[0])
     for reg in _REG_LADDER:
-        try:
-            return sla.cho_factor(M + reg * scale * eye, lower=True)
-        except np.linalg.LinAlgError:
-            continue
+        L = _potrf(M + reg * scale * eye, clean=0)
+        if L is not None:
+            return L
     raise _NumericalProblem("Schur complement factorization failed")
 
 
@@ -281,8 +343,9 @@ def _schur(compiled, xblocks, sblocks, sinv, m) -> np.ndarray:
         if cb.Avec.nnz == 0 or cb.kind == "free":
             continue
         if cb.kind == "diag":
-            weighted = cb.Avec.multiply(xb / sb)
-            M += (weighted @ cb.Avec.T).toarray()
+            weighted = cb.Avec.data * (xb / sb)[cb.Avec.indices]
+            M += np.bincount(cb.pair, weighted[cb.entry] * cb.right,
+                             minlength=m * m).reshape(m, m)
             continue
         for ids, rows, Asub in cb.chunks:
             # V_j = X[:, rows_j] @ (A_j[rows_j, :] @ S^{-1}), one per slice
@@ -294,14 +357,14 @@ def _schur(compiled, xblocks, sblocks, sinv, m) -> np.ndarray:
 
 def _cone_factor(mat: np.ndarray, side: str) -> np.ndarray:
     """Lower Cholesky factor of a psd iterate, which is finite by construction."""
-    try:
-        return sla.cholesky(mat, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise _NumericalProblem(f"{side} iterate left the cone") from exc
+    L = _potrf(mat, clean=1)
+    if L is None:
+        raise _NumericalProblem(f"{side} iterate left the cone")
+    return L
 
 
 def _psd_inverse(L: np.ndarray) -> np.ndarray:
-    inv = sla.cho_solve((L, True), np.eye(L.shape[0]), check_finite=False)
+    inv = _potrs(L, np.eye(L.shape[0]))
     return (inv + inv.T) / 2.0
 
 
@@ -309,9 +372,9 @@ def _max_step_psd(L: np.ndarray, dX: np.ndarray) -> float:
     """Largest t with L L^T + t dX still positive semidefinite."""
     if not np.isfinite(dX).all():
         raise _NumericalProblem("non-finite direction")
-    W = sla.solve_triangular(L, dX, lower=True, check_finite=False)
-    W = sla.solve_triangular(L, W.T, lower=True, check_finite=False)
-    lam = float(sla.eigvalsh((W + W.T) / 2.0)[0])
+    W = _trtrs(L, dX)
+    W = _trtrs(L, W.T)
+    lam = float(_eigvalsh((W + W.T) / 2.0)[0])
     return np.inf if lam >= 0.0 else -1.0 / lam
 
 
@@ -465,16 +528,11 @@ def solve(
             BtMiB_factor = None
             MiB = None
             if Bfree is not None:
-                MiB = sla.cho_solve(factor, Bfree)
+                MiB = _potrs(factor, Bfree)
                 BtMiB = Bfree.T @ MiB
-                try:
-                    BtMiB_factor = sla.cho_factor(
-                        (BtMiB + BtMiB.T) / 2.0, lower=True
-                    )
-                except np.linalg.LinAlgError as exc:
-                    raise _NumericalProblem(
-                        "free-variable complement is singular"
-                    ) from exc
+                BtMiB_factor = _potrf((BtMiB + BtMiB.T) / 2.0, clean=0)
+                if BtMiB_factor is None:
+                    raise _NumericalProblem("free-variable complement is singular")
                 f_now = np.concatenate(
                     [xblocks[bi] for bi in sorted(free_slices)]
                 )
@@ -512,11 +570,11 @@ def solve(
                             G2 = cx @ cs @ si
                             rhs += cb.Avec @ G2.T.ravel()
                 if Bfree is None:
-                    dy = sla.cho_solve(factor, rhs) if m else np.zeros(0)
+                    dy = _potrs(factor, rhs) if m else np.zeros(0)
                     dfree = None
                 else:
-                    u1 = sla.cho_solve(factor, rhs)
-                    dfree = sla.cho_solve(BtMiB_factor, Bfree.T @ u1 - rf_now)
+                    u1 = _potrs(factor, rhs)
+                    dfree = _potrs(BtMiB_factor, Bfree.T @ u1 - rf_now)
                     dy = u1 - MiB @ dfree
                 dsb = []
                 dxb = []

@@ -135,10 +135,11 @@ def test_sweep_csv_formatting():
     row = SweepRow(seed=0, L=2, variant="base", target=1,
                    gamma=0.123456789123, status="Optimal", iterations=17,
                    gap=1e-9, lambda_star=0.25, radius_status="NumericalFailure",
-                   radius_iterations=42, min_eig_bound=3.25, runtime_ms=12.5)
+                   radius_iterations=42, min_eig_bound=3.25, runtime_ms=12.5,
+                   radius_ms=5.25, margin_ms=6.0)
     text = format_sweep_csv([row])
     header, line = text.splitlines()
     assert header == ",".join(SWEEP_CSV_COLUMNS)
     assert line == ("0,2,base,1,0.1234567891,Optimal,17,1e-09,0.25,"
-                    "NumericalFailure,42,3.25,12.5")
+                    "NumericalFailure,42,3.25,12.5,5.25,6")
     assert text.endswith("\n")

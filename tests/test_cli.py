@@ -262,9 +262,14 @@ def test_sweep_deterministic_with_injected_clock():
     assert format_sweep_csv(one) == ",".join(SWEEP_CSV_COLUMNS) + "\n" + "".join(
         f"{r.seed},{r.L},{r.variant},{r.target},{r.gamma:.10g},{r.status},"
         f"{r.iterations},{r.gap:.10g},{r.lambda_star:.10g},{r.radius_status},"
-        f"{r.radius_iterations},{r.min_eig_bound:.10g},{r.runtime_ms:.10g}\n"
+        f"{r.radius_iterations},{r.min_eig_bound:.10g},{r.runtime_ms:.10g},"
+        f"{r.radius_ms:.10g},{r.margin_ms:.10g}\n"
         for r in one
     )
+    # four clock reads per row, 1 ms apart: build, radius solve, margin solve
+    assert [(r.runtime_ms, r.radius_ms, r.margin_ms) for r in one] == [
+        pytest.approx((3.0, 1.0, 1.0))
+    ] * len(one)
 
 
 def test_sweep_cli_writes_csv(tmp_path):

@@ -5,9 +5,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from helpers import planted_instance
+from sdpverify import oracle, solver
 from sdpverify.cli import _competitors, _relaxation, prepare_instance, random_instance
 from sdpverify.sdpform import (
     Block,
@@ -20,9 +22,15 @@ from sdpverify.solver import (
     _TAU,
     SdpSolution,
     SolverConfig,
+    _NumericalProblem,
     _compile,
+    _cone_factor,
+    _eigvalsh,
+    _potrf,
+    _potrs,
     _psd_inverse,
     _schur,
+    _trtrs,
     residuals,
     solve,
 )
@@ -144,6 +152,22 @@ def test_free_variable_elimination():
     assert abs(sol.xblocks[1][0] - 3.0) <= 1e-6
 
 
+def test_overflow_ends_in_numerical_failure():
+    # mu_0 = 1e162 overflows the first Newton right-hand side to inf
+    prob = SdpProblem(
+        blocks=(Block("psd", 2), Block("diag", 2)),
+        objective={},
+        obj_offset=0.0,
+        constraints=[
+            Constraint({0: sp.coo_matrix(np.eye(2))}, 1e160, "=", "big"),
+            Constraint({1: sp.coo_matrix(np.eye(2))}, 1.0, "=", "unit"),
+        ],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve(prob, SolverConfig())
+    assert sol.status == "NumericalFailure"
+
+
 def test_rejects_non_standard_and_coneless_problems():
     ineq = _simple(
         {0: sp.coo_matrix(np.eye(2))},
@@ -210,16 +234,19 @@ def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
     return (M + M.T) / 2.0
 
 
+def _spd(rng, d):
+    """Random positive definite matrix, bitwise symmetric like the iterates."""
+    G = rng.normal(size=(d, d))
+    P = G @ G.T + d * np.eye(d)
+    return (P + P.T) / 2.0
+
+
 def _interior_point(rng, prob):
     """Random strictly interior X and S, bitwise symmetric like the iterates."""
     xblocks, sblocks = [], []
     for blk in prob.blocks:
         if blk.kind == "psd":
-            pair = []
-            for _ in range(2):
-                G = rng.normal(size=(blk.dim, blk.dim))
-                P = G @ G.T + blk.dim * np.eye(blk.dim)
-                pair.append((P + P.T) / 2.0)
+            pair = [_spd(rng, blk.dim) for _ in range(2)]
         elif blk.kind == "diag":
             pair = list(rng.uniform(0.5, 2.0, size=(2, blk.dim)))
         else:
@@ -250,7 +277,25 @@ def _hand_built():
                       constraints=cons)
 
 
-def test_schur_assembly_matches_per_constraint_loop():
+def _oracle_lp(monkeypatch):
+    """The first two-block standard-form LP that `exact_gamma` solves on a
+    depth-2 fixture: a diag block of 2 whose columns have 4 nonzeros each,
+    and a diag slack block."""
+    net, center = random_instance(2, 8, seed=0)
+    prep = prepare_instance(net, center, 0.1)
+    seen = []
+    real = solver.solve
+
+    def record(prob, config=None, trace=None):
+        seen.append(prob)
+        return real(prob, config, trace)
+
+    monkeypatch.setattr(solver, "solve", record)
+    oracle.exact_gamma(prep.net, prep.bounds, _competitors(prep, None)[0])
+    return next(p for p in seen if len(p.blocks) == 2)
+
+
+def test_schur_assembly_matches_per_constraint_loop(monkeypatch):
     """The batched assembly repeats the column loop's arithmetic bit for bit."""
     net, center = random_instance(12, 8, seed=0)
     prep = prepare_instance(net, center, 0.1)
@@ -264,6 +309,10 @@ def test_schur_assembly_matches_per_constraint_loop():
     for _ in range(3):
         problems.append(planted_instance(rng, (5, 3), (4,))[0])
     problems.append(_hand_built())
+    lp = _oracle_lp(monkeypatch)
+    assert [b.kind for b in lp.blocks] == ["diag", "diag"]
+    assert np.diff(_compile(lp)[0].AvecT.indptr).min() > 1
+    problems.append(lp)
     for prob in problems:
         compiled = _compile(prob)
         xblocks, sblocks = _interior_point(rng, prob)
@@ -276,3 +325,31 @@ def test_schur_assembly_matches_per_constraint_loop():
         ref = _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv)
         assert np.array_equal(M, ref)
         assert np.any(M != 0.0)
+
+
+def test_lapack_wrappers_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(48)
+    for d in (1, 5, 70):
+        P = _spd(rng, d)
+        B = rng.normal(size=(d, 3))
+        for a in (P, np.asfortranarray(P)):
+            assert np.array_equal(_potrf(a, clean=1),
+                                  sla.cholesky(a, lower=True))
+            assert np.array_equal(_potrf(a, clean=0),
+                                  sla.cho_factor(a, lower=True)[0])
+        L = sla.cholesky(P, lower=True)
+        for f in (L, np.ascontiguousarray(L)):
+            for b in (B, np.asfortranarray(B), B[:, 0]):
+                assert np.array_equal(_potrs(f, b), sla.cho_solve((f, True), b))
+                assert np.array_equal(_trtrs(f, b),
+                                      sla.solve_triangular(f, b, lower=True))
+        W = rng.normal(size=(d, d))
+        for a in ((W + W.T) / 2.0, np.asfortranarray((W + W.T) / 2.0)):
+            assert np.array_equal(_eigvalsh(a), sla.eigvalsh(a))
+    assert not np.ascontiguousarray(L).flags.f_contiguous
+
+
+def test_cone_factor_rejects_indefinite_iterate():
+    with pytest.raises(_NumericalProblem):
+        _cone_factor(np.diag([1.0, -1e-3]), "primal")
+    assert _potrf(np.diag([1.0, -1e-3]), clean=0) is None
