@@ -19,7 +19,7 @@ has tr(P) <= 1 + sum_i T_i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -169,25 +169,6 @@ class BoundReport:
         return json.dumps(_jsonable(asdict(self)), indent=2, sort_keys=True)
 
 
-SWEEP_CSV_COLUMNS = (
-    "seed",
-    "L",
-    "variant",
-    "target",
-    "gamma",
-    "status",
-    "iterations",
-    "gap",
-    "lambda_star",
-    "radius_status",
-    "radius_iterations",
-    "min_eig_bound",
-    "runtime_ms",
-    "radius_ms",
-    "margin_ms",
-)
-
-
 @dataclass
 class SweepRow:
     """One sweep cell: a (depth, seed, variant) verification plus diagnosis.
@@ -217,6 +198,9 @@ class SweepRow:
     solution: _solver.SdpSolution | None = field(
         default=None, repr=False, compare=False
     )
+
+
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "solution")
 
 
 def format_csv(columns, rows) -> str:

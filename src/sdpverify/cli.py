@@ -196,16 +196,15 @@ def _radius(std, gap_tol, trace):
 
 
 def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
-               wscale=False, prune=True, gap_tol=None, trace=None,
-               clock=time.perf_counter):
+               wscale=False, prune=True, gap_tol=None, trace=None):
     """Solve the relaxation for each competitor label and fold a verdict."""
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     results = []
     for t in _competitors(prep, targets):
         prob, std = _relaxation(prep, t, variant, dscale)
-        t0 = clock()
+        t0 = time.perf_counter()
         gamma, sol = _margin(prob, std, gap_tol, trace)
-        elapsed_ms = (clock() - t0) * 1e3
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
         X = unscale_psd_block(std, sol.xblocks[0])
         results.append(
             TargetResult(

@@ -89,7 +89,6 @@ def _pattern_margin(rows, n0: int, w: np.ndarray, K: float) -> float:
         objective={1: _diag_entry(1, 0, -1.0)},
         obj_offset=0.0,
         constraints=cons,
-        metadata={"role": "pattern-margin"},
     )
     sol = _run_lp(prob, "pattern margin")
     return -sol.primal_obj - K
@@ -111,7 +110,6 @@ def _pattern_minimum(rows, n0, w, g, const, slack) -> float:
         objective={0: _diag_entries(g, n0)},
         obj_offset=0.0,
         constraints=cons,
-        metadata={"role": "pattern-minimum"},
     )
     sol = _run_lp(prob, "pattern minimum")
     return sol.primal_obj + const

@@ -24,7 +24,6 @@ never overtakes the prediction on the box.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "VARIANT_NAMES",
     "build_relaxation",
     "apply_dscale",
-    "dscale_diagonal",
     "unscale_psd_block",
     "to_standard_form",
     "build_strict_feasibility",
@@ -173,6 +171,10 @@ class SdpProblem:
     """Block-diagonal SDP: minimize sum_b tr(C_b X_b) + obj_offset.
 
     Treated as immutable once built; transforms return new problems.
+    `layout` indexes block 0 by network layer when a relaxation built it;
+    `dscale` is the diagonal D of `apply_dscale` once applied, which
+    `unscale_psd_block` undoes.  The standard-form and strict-feasibility
+    transforms carry both over.
     """
 
     blocks: tuple[Block, ...]
@@ -180,7 +182,7 @@ class SdpProblem:
     obj_offset: float
     constraints: list
     layout: VariableLayout | None = None
-    metadata: dict = field(default_factory=dict)
+    dscale: np.ndarray | None = None
 
     @property
     def num_constraints(self) -> int:
@@ -190,7 +192,9 @@ class SdpProblem:
         return np.array([c.rhs for c in self.constraints])
 
     def validate(self) -> None:
-        """Shape, sense, and symmetry checks.  Used by tests and builders."""
+        """Shape, sense, and symmetry checks; raises ValueError on the first
+        violation.  The package never calls it; tests run it on built and
+        hand-made problems."""
         for where, terms in [("objective", self.objective)] + [
             (c.label or f"constraint {k}", c.terms)
             for k, c in enumerate(self.constraints)
@@ -364,21 +368,13 @@ def build_relaxation(
     obj = _SymAccum(dim)
     for j in range(layout.sizes[H]):
         obj.add(0, layout.index(H, j), c[j])
-    problem = SdpProblem(
+    return SdpProblem(
         blocks=(Block("psd", dim),),
         objective={0: obj.matrix()},
         obj_offset=c0,
         constraints=constraints,
         layout=layout,
-        metadata={
-            "variant": variant.name,
-            "eps": variant.eps,
-            "alpha": variant.alpha,
-            "target": target,
-            "predicted": predicted,
-        },
     )
-    return problem
 
 
 def apply_dscale(prob: SdpProblem, bounds: LayerBounds) -> SdpProblem:
@@ -393,7 +389,7 @@ def apply_dscale(prob: SdpProblem, bounds: LayerBounds) -> SdpProblem:
     """
     if prob.layout is None:
         raise ValueError("problem has no variable layout; build it first")
-    if "dscale" in prob.metadata:
+    if prob.dscale is not None:
         raise ValueError("diagonal scaling already applied")
     layout = prob.layout
     d = np.ones(layout.dim)
@@ -420,8 +416,6 @@ def apply_dscale(prob: SdpProblem, bounds: LayerBounds) -> SdpProblem:
             )
         return out
 
-    meta = copy.deepcopy(prob.metadata)
-    meta["dscale"] = d
     return SdpProblem(
         blocks=prob.blocks,
         objective=scale_terms(prob.objective),
@@ -431,22 +425,15 @@ def apply_dscale(prob: SdpProblem, bounds: LayerBounds) -> SdpProblem:
             for c in prob.constraints
         ],
         layout=prob.layout,
-        metadata=meta,
+        dscale=d,
     )
-
-
-def dscale_diagonal(prob: SdpProblem) -> np.ndarray | None:
-    """The scaling vector used by apply_dscale, or None."""
-    d = prob.metadata.get("dscale")
-    return None if d is None else np.asarray(d)
 
 
 def unscale_psd_block(prob: SdpProblem, X: np.ndarray) -> np.ndarray:
     """Map a solution block of a scaled problem to original coordinates."""
-    d = dscale_diagonal(prob)
-    if d is None:
+    if prob.dscale is None:
         return X
-    return X * np.outer(d, d)
+    return X * np.outer(prob.dscale, prob.dscale)
 
 
 def to_standard_form(prob: SdpProblem) -> SdpProblem:
@@ -455,22 +442,12 @@ def to_standard_form(prob: SdpProblem) -> SdpProblem:
     Each inequality receives a nonnegative slack living in a single
     diagonal block appended after the existing blocks; constraint order is
     preserved and slack slots follow it.  A problem with no inequalities
-    comes back unchanged apart from a metadata marker.
+    is already in standard form and comes back as the same object.
     """
     n_ineq = sum(1 for c in prob.constraints if c.sense != "=")
-    meta = copy.deepcopy(prob.metadata)
-    meta["standard_form"] = True
     if n_ineq == 0:
-        return SdpProblem(
-            blocks=prob.blocks,
-            objective=dict(prob.objective),
-            obj_offset=prob.obj_offset,
-            constraints=list(prob.constraints),
-            layout=prob.layout,
-            metadata=meta,
-        )
+        return prob
     slack_block = len(prob.blocks)
-    meta["slack_block"] = slack_block
     constraints = []
     slot = 0
     for c in prob.constraints:
@@ -490,7 +467,7 @@ def to_standard_form(prob: SdpProblem) -> SdpProblem:
         obj_offset=prob.obj_offset,
         constraints=constraints,
         layout=prob.layout,
-        metadata=meta,
+        dscale=prob.dscale,
     )
 
 
@@ -509,12 +486,7 @@ def build_strict_feasibility(prob: SdpProblem) -> SdpProblem:
     """
     if any(c.sense != "=" for c in prob.constraints):
         raise ValueError("strict-feasibility transform needs standard form")
-    slack_block = prob.metadata.get("slack_block")
-    shifted = [
-        i
-        for i, blk in enumerate(prob.blocks)
-        if blk.kind == "psd" and i != slack_block
-    ]
+    shifted = [i for i, blk in enumerate(prob.blocks) if blk.kind == "psd"]
     if not shifted:
         raise ValueError("no psd block to shift")
     lam_block = len(prob.blocks)
@@ -531,9 +503,6 @@ def build_strict_feasibility(prob: SdpProblem) -> SdpProblem:
         if t != 0.0:
             terms[lam_block] = sp.coo_matrix(([t], ([0], [0])), shape=(1, 1))
         constraints.append(Constraint(terms, c.rhs, "=", c.label))
-    meta = copy.deepcopy(prob.metadata)
-    meta["strict_feasibility"] = True
-    meta["lambda_block"] = lam_block
     objective = {lam_block: sp.coo_matrix(([-1.0], ([0], [0])), shape=(1, 1))}
     return SdpProblem(
         blocks=prob.blocks + (Block("free", 1),),
@@ -541,7 +510,7 @@ def build_strict_feasibility(prob: SdpProblem) -> SdpProblem:
         obj_offset=0.0,
         constraints=constraints,
         layout=prob.layout,
-        metadata=meta,
+        dscale=prob.dscale,
     )
 
 
@@ -680,6 +649,4 @@ def read_sdpa(path: str) -> SdpProblem:
             Constraint(build(cons_entries[k]), rhs[k], "=", f"row[{k}]")
             for k in range(m)
         ],
-        layout=None,
-        metadata={"source": "sdpa"},
     )

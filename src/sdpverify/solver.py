@@ -33,6 +33,16 @@ would leave the dual side without an interior and hence without a central
 path; the augmented system keeps both sides strictly feasible whenever
 the underlying problem is.
 
+Psd and diagonal blocks share one Newton path.  `_mul` multiplies three
+block iterates left to right (matrix products on psd blocks, elementwise
+ones on diagonal blocks), `_sym` symmetrizes psd blocks, and
+`_add_traces` adds tr(A_j G_b) into a vector block by block.  Over them
+the right-hand side, the corrector term, dX and the update are each
+written once.  The corrector term goes into the right-hand side in
+place, one block after another: summing it over the blocks first and
+adding the sum once rounds differently, which on the benchmark's request
+pools changes every final iterate and some iteration counts and statuses.
+
 Everything is deterministic: same problem and config, same iterates.
 """
 
@@ -205,14 +215,6 @@ def _compile(prob: SdpProblem):
     return compiled
 
 
-def _free_matrix(compiled, m):
-    """Constraint columns B for the free blocks, or None if there are none."""
-    parts = [cb.Avec.toarray() for cb in compiled if cb.kind == "free"]
-    if not parts:
-        return None
-    return np.hstack(parts) if len(parts) > 1 else parts[0]
-
-
 def _max_coefficient(prob: SdpProblem, compiled) -> float:
     best = 0.0
     for cb in compiled:
@@ -229,7 +231,7 @@ def _apply_A(compiled, xblocks) -> np.ndarray:
     m = compiled[0].Avec.shape[0] if compiled else 0
     out = np.zeros(m)
     for cb, xb in zip(compiled, xblocks):
-        out += cb.Avec @ (xb.ravel() if cb.kind == "psd" else xb)
+        out += cb.Avec @ xb.ravel()
     return out
 
 
@@ -238,6 +240,28 @@ def _apply_AT(cb: _CompiledBlock, y: np.ndarray):
         Aty = (cb.AvecT @ y).reshape(cb.dim, cb.dim)
         return (Aty + Aty.T) / 2.0
     return cb.AvecT @ y
+
+
+def _sym(cb: _CompiledBlock, a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 on psd blocks; other blocks are vectors, left as they are."""
+    return (a + a.T) / 2.0 if cb.kind == "psd" else a
+
+
+def _mul(cb: _CompiledBlock, a, b, c):
+    """a b c, left to right: matrix products on psd blocks, elementwise ones
+    on diagonal blocks; None on free blocks, which have no S^{-1}."""
+    if cb.kind == "psd":
+        return a @ b @ c
+    return a * b * c if cb.kind == "diag" else None
+
+
+def _add_traces(out, compiled, gblocks):
+    """out_j += tr(A_jb G_b) over the blocks b, one block after another, in
+    place; a None G_b (a free block) adds nothing."""
+    for cb, G in zip(compiled, gblocks):
+        if G is not None and cb.Avec.nnz:
+            out += cb.Avec @ G.T.ravel()
+    return out
 
 
 def _dual_residuals(compiled, y, sblocks):
@@ -422,30 +446,23 @@ def solve(
     n_cone = sum(cb.dim for cb in compiled if cb.kind != "free")
     if n_cone == 0:
         raise ValueError("problem needs at least one cone block")
-    Bfree = _free_matrix(compiled, m)
-    free_slices = {}
-    offset = 0
-    for bi, cb in enumerate(compiled):
-        if cb.kind == "free":
-            free_slices[bi] = slice(offset, offset + cb.dim)
-            offset += cb.dim
+    free = [bi for bi, cb in enumerate(compiled) if cb.kind == "free"]
+    if free:
+        Bfree = np.hstack([compiled[bi].Avec.toarray() for bi in free])
+        free_cuts = np.cumsum([compiled[bi].dim for bi in free])[:-1]
 
     dscale = _dual_scale(compiled)
     mu0 = max(1.0, 100.0 * _max_coefficient(prob, compiled))
-    xblocks = []
-    sblocks = []
-    for cb in compiled:
+
+    def start(cb):
+        # mu_0 I on the cones; a free block and its dual slack start at
+        # zero, the slack to stay there, so the residuals read B^T y = c_f
         if cb.kind == "psd":
-            xblocks.append(np.eye(cb.dim) * mu0)
-            sblocks.append(np.eye(cb.dim) * mu0)
-        elif cb.kind == "diag":
-            xblocks.append(np.full(cb.dim, mu0))
-            sblocks.append(np.full(cb.dim, mu0))
-        else:
-            # free: no cone, dual slack pinned at zero so the generic
-            # residual formulas reduce to B^T y = c_f
-            xblocks.append(np.zeros(cb.dim))
-            sblocks.append(np.zeros(cb.dim))
+            return np.eye(cb.dim) * mu0
+        return np.full(cb.dim, mu0 if cb.kind == "diag" else 0.0)
+
+    xblocks = [start(cb) for cb in compiled]
+    sblocks = [start(cb) for cb in compiled]
     y = np.zeros(m)
 
     def snapshot(status: str, k: int) -> SdpSolution:
@@ -454,9 +471,9 @@ def solve(
         )
         return SdpSolution(
             status=status,
-            xblocks=[np.array(xb) for xb in xblocks],
-            y=np.array(y),
-            sblocks=[np.array(sb) for sb in sblocks],
+            xblocks=xblocks,
+            y=y,
+            sblocks=sblocks,
             primal_obj=pobj,
             dual_obj=dobj,
             gap=gap,
@@ -466,7 +483,8 @@ def solve(
         )
 
     # A run that breaks down late should hand back its best iterate, not
-    # whatever the failed step left behind.
+    # whatever the failed step left behind.  Steps build new blocks and
+    # lists, so holding on to an iterate needs no copy.
     best_score = np.inf
     best_state = None
 
@@ -504,12 +522,7 @@ def solve(
                 return snapshot(UNBOUNDED, k)
             score = max(pres, dres, gap)
             if score < best_score:
-                best_score = score
-                best_state = (
-                    [np.array(xb) for xb in xblocks],
-                    np.array(y),
-                    [np.array(sb) for sb in sblocks],
-                )
+                best_score, best_state = score, (xblocks, y, sblocks)
 
             # psd blocks: S^{-1} and both step lengths from one factor each
             sinv, xcones, scones = [], list(xblocks), list(sblocks)
@@ -518,85 +531,53 @@ def solve(
                     scones[bi] = _cone_factor(sblocks[bi], "dual")
                     sinv.append(_psd_inverse(scones[bi]))
                     xcones[bi] = _cone_factor(xblocks[bi], "primal")
-                elif cb.kind == "diag":
-                    sinv.append(1.0 / sblocks[bi])
                 else:
-                    sinv.append(None)
+                    sinv.append(1.0 / sblocks[bi] if cb.kind == "diag" else None)
 
             M = _schur(compiled, xblocks, sblocks, sinv, m)
             factor = _chol_factor_schur(M) if m else None
-            BtMiB_factor = None
-            MiB = None
-            if Bfree is not None:
+            b_eff = bvec
+            if free:
                 MiB = _potrs(factor, Bfree)
                 BtMiB = Bfree.T @ MiB
                 BtMiB_factor = _potrf((BtMiB + BtMiB.T) / 2.0, clean=0)
                 if BtMiB_factor is None:
                     raise _NumericalProblem("free-variable complement is singular")
-                f_now = np.concatenate(
-                    [xblocks[bi] for bi in sorted(free_slices)]
-                )
-                rf_now = np.concatenate(
-                    [rd_blocks[bi] for bi in sorted(free_slices)]
-                )
-                b_eff = bvec - Bfree @ f_now
-            else:
-                b_eff = bvec
+                rf_now = np.concatenate([rd_blocks[bi] for bi in free])
+                b_eff = bvec - Bfree @ np.concatenate([xblocks[bi] for bi in free])
 
             # constant rhs pieces: tr(A_j S^{-1}) and tr(A_j X R_d S^{-1})
-            a_sinv = np.zeros(m)
-            g_rd = np.zeros(m)
-            for cb, xb, si, rd in zip(compiled, xblocks, sinv, rd_blocks):
-                if cb.Avec.nnz == 0 or cb.kind == "free":
-                    continue
-                if cb.kind == "diag":
-                    a_sinv += cb.Avec @ si
-                    g_rd += cb.Avec @ (xb * rd * si)
-                else:
-                    a_sinv += cb.Avec @ si.ravel()
-                    G = xb @ rd @ si
-                    g_rd += cb.Avec @ G.T.ravel()
+            a_sinv = _add_traces(np.zeros(m), compiled, sinv)
+            g_rd = _add_traces(
+                np.zeros(m), compiled, map(_mul, compiled, xblocks, rd_blocks, sinv)
+            )
 
             def newton(sigma_mu: float, corr):
                 rhs = b_eff - sigma_mu * a_sinv + g_rd
                 if corr is not None:
-                    dxa, dsa = corr
-                    for cb, si, cx, cs in zip(compiled, sinv, dxa, dsa):
-                        if cb.Avec.nnz == 0 or cb.kind == "free":
-                            continue
-                        if cb.kind == "diag":
-                            rhs += cb.Avec @ (cx * cs * si)
-                        else:
-                            G2 = cx @ cs @ si
-                            rhs += cb.Avec @ G2.T.ravel()
-                if Bfree is None:
-                    dy = _potrs(factor, rhs) if m else np.zeros(0)
-                    dfree = None
-                else:
+                    # into rhs itself, block by block (module docstring)
+                    _add_traces(rhs, compiled, map(_mul, compiled, *corr, sinv))
+                if free:
                     u1 = _potrs(factor, rhs)
                     dfree = _potrs(BtMiB_factor, Bfree.T @ u1 - rf_now)
                     dy = u1 - MiB @ dfree
-                dsb = []
-                dxb = []
+                    free_steps = iter(np.split(dfree, free_cuts))
+                else:
+                    dy = _potrs(factor, rhs) if m else np.zeros(0)
+                dxb, dsb = [], []
                 for bi, (cb, xb, si, rd) in enumerate(
                     zip(compiled, xblocks, sinv, rd_blocks)
                 ):
                     if cb.kind == "free":
+                        dxb.append(next(free_steps))
                         dsb.append(np.zeros(cb.dim))
-                        dxb.append(np.array(dfree[free_slices[bi]]))
                         continue
                     ds = rd - _apply_AT(cb, dy)
-                    if cb.kind == "diag":
-                        dx = sigma_mu * si - xb - xb * ds * si
-                        if corr is not None:
-                            dx = dx - corr[0][bi] * corr[1][bi] * si
-                    else:
-                        dx = sigma_mu * si - xb - xb @ ds @ si
-                        if corr is not None:
-                            dx = dx - corr[0][bi] @ corr[1][bi] @ si
-                        dx = (dx + dx.T) / 2.0
+                    dx = sigma_mu * si - xb - _mul(cb, xb, ds, si)
+                    if corr is not None:
+                        dx = dx - _mul(cb, corr[0][bi], corr[1][bi], si)
+                    dxb.append(_sym(cb, dx))
                     dsb.append(ds)
-                    dxb.append(dx)
                 return dxb, dy, dsb
 
             # predictor: pure Newton step toward complementarity zero
@@ -624,15 +605,10 @@ def solve(
             else:
                 stall = 0
 
-            for bi, cb in enumerate(compiled):
-                if cb.kind == "psd":
-                    xn = xblocks[bi] + ap * dxb[bi]
-                    sn = sblocks[bi] + ad * dsb[bi]
-                    xblocks[bi] = (xn + xn.T) / 2.0
-                    sblocks[bi] = (sn + sn.T) / 2.0
-                else:
-                    xblocks[bi] = xblocks[bi] + ap * dxb[bi]
-                    sblocks[bi] = sblocks[bi] + ad * dsb[bi]
+            xblocks = [_sym(cb, xb + ap * dx)
+                       for cb, xb, dx in zip(compiled, xblocks, dxb)]
+            sblocks = [_sym(cb, sb + ad * ds)
+                       for cb, sb, ds in zip(compiled, sblocks, dsb)]
             y = y + ad * dy
     except _NumericalProblem:
         return fallback(NUMERICAL_FAILURE, k)

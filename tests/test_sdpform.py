@@ -257,9 +257,18 @@ def test_dscale_is_identity_on_unit_bounds():
     bounds = boxed(net, [0.5], 0.5)
     prob = build_relaxation(net, bounds, 1, Variant.base())
     scaled = apply_dscale(prob, bounds)
-    assert np.array_equal(scaled.metadata["dscale"], np.ones(3))
+    assert np.array_equal(scaled.dscale, np.ones(3))
     for c0, c1 in zip(prob.constraints, scaled.constraints):
         assert np.allclose(c0.terms[0].toarray(), c1.terms[0].toarray(), atol=0)
+
+
+def test_dscale_carried_through_standard_and_strict_forms(tiny_net):
+    # box [0.5, 1.5]: input scale 1.5, hidden upper bound 1.5
+    bounds = boxed(tiny_net, [1.0], 0.5)
+    prob = build_relaxation(tiny_net, bounds, 1, Variant.base())
+    assert prob.dscale is None
+    sf = build_strict_feasibility(to_standard_form(apply_dscale(prob, bounds)))
+    assert np.array_equal(sf.dscale, [1.0, 1.5, 1.5])
 
 
 def test_dscale_preserves_optimum_and_unscales():
@@ -319,17 +328,13 @@ def test_standard_form_slack_accounting():
     std.validate()
     assert all(c.sense == "=" for c in std.constraints)
     assert std.num_constraints == 5
-    assert std.blocks[-1] == Block("diag", 3)  # one slack per inequality
-    assert std.metadata["standard_form"]
-    assert std.metadata["slack_block"] == 1
+    # one slack per inequality, in a diagonal block after the psd one
+    assert std.blocks == (Block("psd", 2), Block("diag", 3))
 
 
 def test_standard_form_noop_on_equalities():
     prob = _hand_sdp(2, [(np.eye(2), 1.0, "tr")])
-    std = to_standard_form(prob)
-    assert std.blocks == prob.blocks
-    assert std.num_constraints == 1
-    assert std.metadata["standard_form"]
+    assert to_standard_form(prob) is prob
 
 
 def test_standard_form_preserves_optimum():
@@ -371,8 +376,7 @@ def test_inscribed_ball_infeasible_is_negative():
 def test_inscribed_ball_free_variable_plumbing():
     prob = _hand_sdp(1, [([[1.0]], 1.0, "tr")])
     sf = build_strict_feasibility(to_standard_form(prob))
-    assert sf.metadata["strict_feasibility"]
-    lam_block = sf.metadata["lambda_block"]
+    lam_block = len(sf.blocks) - 1
     assert sf.blocks[lam_block] == Block("free", 1)
     # the recast constraint carries tr(A) as the lambda coefficient
     assert np.allclose(sf.constraints[0].terms[lam_block].toarray(), [[1.0]])
@@ -388,7 +392,8 @@ def test_inscribed_ball_shift_skips_slack():
     )
     std = to_standard_form(prob)
     sf = build_strict_feasibility(std)
-    lam_block = sf.metadata["lambda_block"]
+    lam_block = len(sf.blocks) - 1
+    assert sf.blocks[lam_block] == Block("free", 1)
     assert np.allclose(sf.constraints[0].terms[lam_block].toarray(), [[1.0]])
     sol = solve(sf, SolverConfig(gap_tol=1e-9, feas_tol=1e-9))
     assert abs(strict_feasibility_value(sol) - 2.0) <= 1e-7

@@ -152,6 +152,34 @@ def test_free_variable_elimination():
     assert abs(sol.xblocks[1][0] - 3.0) <= 1e-6
 
 
+def test_two_free_blocks_around_a_cone_block():
+    # free f, then x >= 0, then free (g0, g1):
+    #   f - x0 = 1, g0 - x1 = -2, f + g1 = 5, g0 + g1 = 4
+    # leave x = (f - 1, f + 1), so min x0 + x1 = 2f sits at f = 1
+    def diag(*vals):
+        return sp.coo_matrix(np.diag(vals))
+
+    prob = SdpProblem(
+        blocks=(Block("free", 1), Block("diag", 2), Block("free", 2)),
+        objective={1: diag(1.0, 1.0)},
+        obj_offset=0.0,
+        constraints=[
+            Constraint({0: diag(1.0), 1: diag(-1.0, 0.0)}, 1.0, "=", "f"),
+            Constraint({1: diag(0.0, -1.0), 2: diag(1.0, 0.0)}, -2.0, "=", "g0"),
+            Constraint({0: diag(1.0), 2: diag(0.0, 1.0)}, 5.0, "=", "g1"),
+            Constraint({2: diag(1.0, 1.0)}, 4.0, "=", "sum"),
+        ],
+    )
+    prob.validate()
+    sol = solve(prob, SolverConfig(gap_tol=1e-9, feas_tol=1e-9))
+    assert sol.status == "Optimal"
+    assert abs(sol.primal_obj - 2.0) <= 1e-7
+    for got, want in zip(sol.xblocks, ([1.0], [0.0, 2.0], [0.0, 4.0])):
+        assert np.allclose(got, want, atol=1e-6)
+    assert np.array_equal(sol.sblocks[0], [0.0])
+    assert np.array_equal(sol.sblocks[2], [0.0, 0.0])
+
+
 def test_overflow_ends_in_numerical_failure():
     # mu_0 = 1e162 overflows the first Newton right-hand side to inf
     prob = SdpProblem(
