@@ -10,11 +10,12 @@ psd block of order 70, a diagonal slack block of 203, 271 constraints)
 and its inscribed-ball form (the same plus a free block).  For each form
 it times the Schur assembly `solver._schur` at the final iterate and one
 full `solver.solve`; on the margin form also one step-length call
-`solver._max_step_psd` at the final iterate.  It also times one solve of
-the first linear program that `oracle.exact_gamma` hands the solver on
-the depth-2, width-8, seed-0 fixture (diagonal blocks of 2, 1 and 6
-slacks, 6 constraints).  Every timing follows a discarded warm-up so that
-the first LAPACK call is not timed.  Every solve asserts its status and
+`solver._max_step_psd` at the final iterate and the constraint compile
+`solver._compile`.  It also times one solve and one compile of the first
+linear program that `oracle.exact_gamma` hands the solver on the
+depth-2, width-8, seed-0 fixture (diagonal blocks of 2, 1 and 6 slacks,
+6 constraints).  Every timing follows a discarded warm-up so that the
+first LAPACK call is not timed.  Every solve asserts its status and
 iteration count, so a faster run is never a different convergence.
 
 This directory is outside the test suite's `testpaths`; name the file to
@@ -104,6 +105,23 @@ def test_oracle_lp_solve(benchmark, oracle_lp):
     prob, config = oracle_lp
     sol = benchmark.pedantic(solver.solve, args=(prob, config),
                              rounds=200, warmup_rounds=5)
+    assert (sol.status, sol.iterations) == LP_EXPECTED
+
+
+def test_compile_margin(benchmark, forms):
+    prob, config = forms["margin"]
+    compiled = benchmark.pedantic(solver._compile, args=(prob,), rounds=50,
+                                  iterations=1, warmup_rounds=5)
+    assert [cb.kind for cb in compiled] == ["psd", "diag"]
+    _check("margin", solver.solve(prob, config))
+
+
+def test_compile_oracle_lp(benchmark, oracle_lp):
+    prob, config = oracle_lp
+    compiled = benchmark.pedantic(solver._compile, args=(prob,), rounds=500,
+                                  iterations=1, warmup_rounds=5)
+    assert len(compiled) == len(prob.blocks)
+    sol = solver.solve(prob, config)
     assert (sol.status, sol.iterations) == LP_EXPECTED
 
 

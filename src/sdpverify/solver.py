@@ -20,9 +20,14 @@ formed in one stacked product per chunk of constraints with as many rows.
 A diagonal block adds Avec diag(x/s) Avec^T, whose sparsity pattern is
 found once per solve, so each iteration costs one weighted bincount.  One
 Cholesky factor each of X and S per iteration serves S^{-1} and all four
-step lengths.  Factorizations, solves and eigenvalues call LAPACK directly
-with the arguments scipy.linalg would pass, without its per-call checks,
-so the iterates are bit for bit those of the scipy.linalg calls.
+step lengths; the diagonal blocks share one step-length pass.
+Factorizations, solves and eigenvalues call LAPACK directly with the
+arguments scipy.linalg would pass, and sparse products A @ x call
+scipy's csr_matvec and csr_matvecs kernels directly as scipy.sparse
+would, without the per-call checks and dispatch, so the iterates are bit
+for bit those of the scipy calls.  The constraint data is compiled once
+per solve from all (constraint, row, col, value) triplets of a block at
+once, in the canonical order scipy's coo-to-csr path gives.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -50,10 +55,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dsyevr_lwork, dtrtrs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .sdpform import SdpProblem
 
@@ -126,22 +132,33 @@ class SdpSolution:
     iterations: int
 
 
+class _Csr(NamedTuple):
+    """Compressed sparse rows with int64 indices, its fields named as on a
+    scipy csr matrix, so that `_matvec` takes either."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
 class _CompiledBlock:
     """Per-block constraint data in solver-friendly form."""
 
-    def __init__(self, kind, dim, C, Avec, chunks):
+    def __init__(self, kind, dim, C, Avec, AvecT, chunks):
         self.kind = kind
         self.dim = dim
         self.C = C  # dense (d, d) for psd, (d,) for diag
         self.Avec = Avec  # csr: (m, d*d) for psd, (m, d) for diag
-        self.AvecT = Avec.T.tocsr()
+        self.AvecT = AvecT  # csr: Avec.T
+        self.nnz = Avec.data.size
         self.chunks = chunks  # psd: (ids, rows (k, r), A[rows, :] (k, r, d))
         if kind == "psd":
             # Avec on its nonzero columns c = a*d + b, each read off V_j[b, a]
             used = np.unique(Avec.indices)
             cols = np.searchsorted(used, Avec.indices)
-            self.Aused = sp.csr_matrix((Avec.data, cols, Avec.indptr),
-                                       shape=(Avec.shape[0], used.size))
+            self.Aused = _Csr(Avec.indptr, cols, Avec.data,
+                              (Avec.shape[0], used.size))
             self.vidx = (used % dim) * dim + used // dim
         elif kind == "diag":
             self._diag_pattern()
@@ -154,7 +171,7 @@ class _CompiledBlock:
         A, AT = self.Avec, self.AvecT
         m = A.shape[0]
         per_entry = np.diff(AT.indptr)[A.indices]  # rows j under entry (i, k)
-        self.entry = np.repeat(np.arange(A.nnz), per_entry)
+        self.entry = np.repeat(np.arange(self.nnz), per_entry)
         first = np.cumsum(per_entry) - per_entry
         pos = np.arange(self.entry.size) + np.repeat(
             AT.indptr[A.indices] - first, per_entry
@@ -162,6 +179,67 @@ class _CompiledBlock:
         rows = np.repeat(np.arange(m), np.diff(A.indptr))
         self.pair = rows[self.entry] * m + AT.indices[pos]
         self.right = AT.data[pos]
+
+
+def _csr(data, indices, owner, shape) -> _Csr:
+    """Row `owner[i]` holds entry i; entries come sorted by row."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=shape[0]), out=indptr[1:])
+    return _Csr(indptr, indices, data, shape)
+
+
+def _dense(A: _Csr) -> np.ndarray:
+    """A as a dense array, summed as scipy's `toarray` sums it."""
+    out = np.zeros(A.shape)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    np.add.at(out, (rows, A.indices), A.data)
+    return out
+
+
+def _triplets(present, coos):
+    """(constraint, row, col, value) of the entries of `coos`, the coo
+    matrices of constraints `present` (ascending), made canonical as
+    `coo.sum_duplicates` makes each matrix: sorted by (j, row, col) with
+    duplicates summed in entry order, by one stable sort and one reduceat
+    for all of them.  The matrices are only read, never sorted or merged
+    in place."""
+    if not coos:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(0)
+    j = np.repeat(present, [coo.data.size for coo in coos])
+    row = np.concatenate([coo.row for coo in coos], dtype=np.int64)
+    col = np.concatenate([coo.col for coo in coos], dtype=np.int64)
+    val = np.concatenate([coo.data for coo in coos], dtype=float)
+    order = np.lexsort((col, row, j))
+    j, row, col, val = j[order], row[order], col[order], val[order]
+    first = np.ones(j.size, dtype=bool)
+    first[1:] = (j[1:] != j[:-1]) | (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    val = np.add.reduceat(val, np.flatnonzero(first))
+    return j[first], row[first], col[first], val
+
+
+def _psd_chunks(present, j, row, col, val, d, m):
+    """A psd block's constraints in chunks of at most _SCHUR_CHUNK with
+    equally many nonzero rows r: (ids, rows (k, r), A_j[rows, :] (k, r, d)).
+    Row counts come in order of first appearance, ids ascending."""
+    new = np.ones(j.size, dtype=bool)
+    new[1:] = (j[1:] != j[:-1]) | (row[1:] != row[:-1])
+    nrows = np.bincount(j[new], minlength=m)
+    start = np.cumsum(nrows) - nrows  # first (j, row) pair of each j
+    slot = np.cumsum(new) - 1 - start[j]  # entry's row within A_j's rows
+    rows_of = row[new]
+    sizes = nrows[present]
+    chunks = []
+    for r in sizes[np.sort(np.unique(sizes, return_index=True)[1])]:
+        group = present[sizes == r]
+        for lo in range(0, group.size, _SCHUR_CHUNK):
+            ids = group[lo:lo + _SCHUR_CHUNK]
+            mine = np.isin(j, ids)
+            Asub = np.zeros((ids.size, r, d))
+            Asub[np.searchsorted(ids, j[mine]), slot[mine], col[mine]] += val[mine]
+            rows = rows_of[start[ids][:, None] + np.arange(r)]
+            chunks.append((ids, rows, Asub))
+    return chunks
 
 
 def _compile(prob: SdpProblem):
@@ -178,47 +256,57 @@ def _compile(prob: SdpProblem):
             if cmat is not None:
                 coo = cmat.tocoo()
                 np.add.at(C, coo.row, coo.data)
-        cons_all, idx_all, vals_all = [], [], []
-        by_size = {}
+        present, coos = [], []
         for j, cons in enumerate(prob.constraints):
             mat = cons.terms.get(bidx)
-            if mat is None:
-                continue
-            coo = mat.tocoo()
-            coo.sum_duplicates()
-            cons_all.append(np.full(coo.nnz, j))
-            idx_all.append(coo.row * d + coo.col if psd else coo.row)
-            vals_all.append(coo.data)
-            if psd:
-                rset = np.unique(coo.row)
-                slot = np.searchsorted(rset, coo.row)
-                Asub = np.zeros((rset.size, d))
-                np.add.at(Asub, (slot, coo.col), coo.data)
-                by_size.setdefault(rset.size, []).append((j, rset, Asub))
-        chunks = [] if psd else None
-        for group in by_size.values():  # constraints with equally many rows
-            for lo in range(0, len(group), _SCHUR_CHUNK):
-                ids, rsets, subs = zip(*group[lo:lo + _SCHUR_CHUNK])
-                chunks.append((np.array(ids), np.stack(rsets), np.stack(subs)))
-        shape = (m, d * d if psd else d)
-        if cons_all:
-            Avec = sp.coo_matrix(
-                (
-                    np.concatenate(vals_all),
-                    (np.concatenate(cons_all), np.concatenate(idx_all)),
-                ),
-                shape=shape,
-            ).tocsr()
-        else:
-            Avec = sp.csr_matrix(shape)
-        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, chunks))
+            if mat is not None:
+                present.append(j)
+                coos.append(mat.tocoo())
+        present = np.array(present, dtype=np.int64)
+        j, row, col, val = _triplets(present, coos)
+        # the csr arrays tocsr gives: entries by (j, column); transposed,
+        # by (column, j), which a stable sort on the column yields
+        ncols = d * d if psd else d
+        idx = row * d + col if psd else row
+        Avec = _csr(val, idx, j, (m, ncols))
+        by_col = np.argsort(idx, kind="stable")
+        AvecT = _csr(val[by_col], j[by_col], idx[by_col], (ncols, m))
+        chunks = _psd_chunks(present, j, row, col, val, d, m) if psd else None
+        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, AvecT, chunks))
     return compiled
+
+
+def _matvec(A, x: np.ndarray) -> np.ndarray:
+    """A @ x for a csr A (a `_Csr` or a scipy csr matrix) and a vector x, as
+    scipy computes it: its csr_matvec kernel into a fresh zero array,
+    without the per-call dispatch.  The kernel reads x unchecked, hence
+    the length check."""
+    m, n = A.shape
+    if x.shape != (n,):
+        raise ValueError(f"matvec: expected shape ({n},), got {x.shape}")
+    out = np.zeros(m)
+    csr_matvec(m, n, A.indptr, A.indices, A.data, x, out)
+    return out
+
+
+def _matvecs(A, X: np.ndarray) -> np.ndarray:
+    """A @ X for a csr A and a 2-d X, as scipy computes it: one column by
+    `_matvec`, more by its csr_matvecs kernel."""
+    m, n = A.shape
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(f"matvecs: expected shape ({n}, k), got {X.shape}")
+    k = X.shape[1]
+    if k == 1:
+        return _matvec(A, X.ravel()).reshape(m, 1)
+    out = np.zeros((m, k))
+    csr_matvecs(m, n, k, A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+    return out
 
 
 def _max_coefficient(prob: SdpProblem, compiled) -> float:
     best = 0.0
     for cb in compiled:
-        if cb.Avec.nnz:
+        if cb.nnz:
             best = max(best, float(np.abs(cb.Avec.data).max()))
         if np.size(cb.C):
             best = max(best, float(np.abs(cb.C).max()))
@@ -231,15 +319,15 @@ def _apply_A(compiled, xblocks) -> np.ndarray:
     m = compiled[0].Avec.shape[0] if compiled else 0
     out = np.zeros(m)
     for cb, xb in zip(compiled, xblocks):
-        out += cb.Avec @ xb.ravel()
+        out += _matvec(cb.Avec, xb.ravel())
     return out
 
 
 def _apply_AT(cb: _CompiledBlock, y: np.ndarray):
     if cb.kind == "psd":
-        Aty = (cb.AvecT @ y).reshape(cb.dim, cb.dim)
+        Aty = _matvec(cb.AvecT, y).reshape(cb.dim, cb.dim)
         return (Aty + Aty.T) / 2.0
-    return cb.AvecT @ y
+    return _matvec(cb.AvecT, y)
 
 
 def _sym(cb: _CompiledBlock, a: np.ndarray) -> np.ndarray:
@@ -259,8 +347,8 @@ def _add_traces(out, compiled, gblocks):
     """out_j += tr(A_jb G_b) over the blocks b, one block after another, in
     place; a None G_b (a free block) adds nothing."""
     for cb, G in zip(compiled, gblocks):
-        if G is not None and cb.Avec.nnz:
-            out += cb.Avec @ G.T.ravel()
+        if G is not None and cb.nnz:
+            out += _matvec(cb.Avec, G.T.ravel())
     return out
 
 
@@ -364,7 +452,7 @@ def _schur(compiled, xblocks, sblocks, sinv, m) -> np.ndarray:
     the per-constraint column loop that test_solver keeps as reference."""
     M = np.zeros((m, m))
     for cb, xb, sb, si in zip(compiled, xblocks, sblocks, sinv):
-        if cb.Avec.nnz == 0 or cb.kind == "free":
+        if cb.nnz == 0 or cb.kind == "free":
             continue
         if cb.kind == "diag":
             weighted = cb.Avec.data * (xb / sb)[cb.Avec.indices]
@@ -374,7 +462,7 @@ def _schur(compiled, xblocks, sblocks, sinv, m) -> np.ndarray:
         for ids, rows, Asub in cb.chunks:
             # V_j = X[:, rows_j] @ (A_j[rows_j, :] @ S^{-1}), one per slice
             V = xb[:, rows].transpose(1, 0, 2) @ (Asub @ si)
-            M[:, ids] += cb.Aused @ V.reshape(ids.size, -1).T[cb.vidx]
+            M[:, ids] += _matvecs(cb.Aused, V.reshape(ids.size, -1).T[cb.vidx])
             del V  # free the (k, d, d) stack before the next chunk forms its own
     return (M + M.T) / 2.0
 
@@ -408,21 +496,25 @@ def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
     neg = dx < 0.0
     if not neg.any():
         return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
+    return float((-x[neg] / dx[neg]).min())
 
 
 def _max_step(compiled, cones, dxblocks) -> float:
-    """Largest step along `dxblocks`; `cones`: psd factors, diagonal iterates."""
+    """Largest step along `dxblocks`; `cones`: psd factors, diagonal iterates.
+    The diagonal blocks go through `_max_step_diag` as one vector: a
+    minimum is exact, so this is the least of their own steps."""
     step = np.inf
+    xs, dxs = [], []
     for cb, xb, dxb in zip(compiled, cones, dxblocks):
-        if cb.kind == "free":
-            if not np.isfinite(dxb).all():
-                raise _NumericalProblem("non-finite direction")
-            continue
-        step = min(
-            step,
-            _max_step_psd(xb, dxb) if cb.kind == "psd" else _max_step_diag(xb, dxb),
-        )
+        if cb.kind == "psd":
+            step = min(step, _max_step_psd(xb, dxb))
+        elif cb.kind == "diag":
+            xs.append(xb)
+            dxs.append(dxb)
+        elif not np.isfinite(dxb).all():
+            raise _NumericalProblem("non-finite direction")
+    if xs:
+        step = min(step, _max_step_diag(np.concatenate(xs), np.concatenate(dxs)))
     return step
 
 
@@ -439,16 +531,18 @@ def solve(
     """
     if any(c.sense != "=" for c in prob.constraints):
         raise ValueError("solver expects standard form (equalities only)")
+    m = prob.num_constraints
+    if m == 0 and any(blk.kind == "free" for blk in prob.blocks):
+        raise ValueError("a free block needs at least one constraint")
     cfg = config or SolverConfig()
     compiled = _compile(prob)
-    m = prob.num_constraints
     bvec = prob.rhs_vector()
     n_cone = sum(cb.dim for cb in compiled if cb.kind != "free")
     if n_cone == 0:
         raise ValueError("problem needs at least one cone block")
     free = [bi for bi, cb in enumerate(compiled) if cb.kind == "free"]
     if free:
-        Bfree = np.hstack([compiled[bi].Avec.toarray() for bi in free])
+        Bfree = np.hstack([_dense(compiled[bi].Avec) for bi in free])
         free_cuts = np.cumsum([compiled[bi].dim for bi in free])[:-1]
 
     dscale = _dual_scale(compiled)

@@ -2,6 +2,7 @@
 
 import io
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +23,16 @@ from sdpverify.solver import (
     _TAU,
     SdpSolution,
     SolverConfig,
+    _Csr,
     _NumericalProblem,
     _compile,
     _cone_factor,
     _eigvalsh,
+    _matvec,
+    _matvecs,
+    _max_step,
+    _max_step_diag,
+    _max_step_psd,
     _potrf,
     _potrs,
     _psd_inverse,
@@ -211,6 +218,26 @@ def test_rejects_non_standard_and_coneless_problems():
     )
     with pytest.raises(ValueError):
         solve(free_only, SolverConfig())
+    unpinned_free = SdpProblem(
+        blocks=(Block("diag", 1), Block("free", 1)),
+        objective={0: sp.coo_matrix([[1.0]])},
+        obj_offset=0.0,
+        constraints=[],
+    )
+    with pytest.raises(ValueError, match="free block"):
+        solve(unpinned_free, SolverConfig())
+
+
+def test_solve_leaves_the_problem_unchanged():
+    # unsorted, with the (1, 1) entry stored twice
+    mat = sp.coo_matrix(([1.0, 2.0, 0.5], ([1, 0, 1], [1, 0, 1])), shape=(2, 2))
+    before = (mat.row.copy(), mat.col.copy(), mat.data.copy(), mat.nnz)
+    prob = _simple({0: sp.coo_matrix(np.eye(2))},
+                   [Constraint({0: mat}, 1.0, "=", "w")])
+    assert solve(prob, SolverConfig()).status == "Optimal"
+    assert prob.constraints[0].terms[0] is mat
+    for got, want in zip((mat.row, mat.col, mat.data, mat.nnz), before):
+        assert np.array_equal(got, want)
 
 
 def test_config_validation():
@@ -242,11 +269,13 @@ def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
     m = prob.num_constraints
     M = np.zeros((m, m))
     for bidx, (cb, xb, sb, si) in enumerate(zip(compiled, xblocks, sblocks, sinv)):
-        if cb.Avec.nnz == 0 or cb.kind == "free":
+        A = sp.csr_matrix((cb.Avec.data, cb.Avec.indices, cb.Avec.indptr),
+                          shape=cb.Avec.shape)
+        if A.nnz == 0 or cb.kind == "free":
             continue
         if cb.kind == "diag":
-            weighted = cb.Avec.multiply(xb / sb)
-            M += (weighted @ cb.Avec.T).toarray()
+            weighted = A.multiply(xb / sb)
+            M += (weighted @ A.T).toarray()
             continue
         for j, cons in enumerate(prob.constraints):
             mat = cons.terms.get(bidx)
@@ -258,7 +287,7 @@ def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
             Asub = np.zeros((rows.size, cb.dim))
             np.add.at(Asub, (np.searchsorted(rows, coo.row), coo.col), coo.data)
             V = xb[:, rows] @ (Asub @ si)
-            M[:, j] += cb.Avec @ V.T.ravel()
+            M[:, j] += A @ V.T.ravel()
     return (M + M.T) / 2.0
 
 
@@ -375,6 +404,56 @@ def test_lapack_wrappers_match_scipy_bit_for_bit():
         for a in ((W + W.T) / 2.0, np.asfortranarray((W + W.T) / 2.0)):
             assert np.array_equal(_eigvalsh(a), sla.eigvalsh(a))
     assert not np.ascontiguousarray(L).flags.f_contiguous
+
+
+def test_csr_kernels_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(49)
+    mats = [sp.csr_matrix((4, 5))]  # no stored entries
+    for m, n, density in ((1, 1, 1.0), (7, 9, 0.3), (40, 60, 0.05), (30, 12, 0.5)):
+        D = rng.normal(size=(m, n)) * (rng.random((m, n)) < density)
+        D[m // 2:m // 2 + 3] = 0.0  # empty rows
+        mats.append(sp.csr_matrix(D))
+    for A in mats:
+        n = A.shape[1]
+        # as compiled (int64 indices) and as scipy holds it (int32)
+        wide = _Csr(A.indptr.astype(np.int64), A.indices.astype(np.int64),
+                    A.data, A.shape)
+        for B in (wide, A):
+            for x in (rng.normal(size=n), rng.normal(size=2 * n)[::2]):
+                assert np.array_equal(_matvec(B, x), A @ x)
+            for k in (1, 2, 16):
+                for X in (rng.normal(size=(n, k)), rng.normal(size=(k, n)).T):
+                    assert np.array_equal(_matvecs(B, X), A @ X)
+            with pytest.raises(ValueError):
+                _matvec(B, np.zeros(n - 1))
+            with pytest.raises(ValueError):
+                _matvecs(B, np.zeros((n + 1, 2)))
+            with pytest.raises(ValueError):
+                _matvecs(B, np.zeros(n))
+
+
+def test_diagonal_steps_merge_into_one_pass():
+    rng = np.random.default_rng(50)
+    kinds = ["diag", "psd", "diag", "free", "diag"]
+    compiled = [SimpleNamespace(kind=k) for k in kinds]
+    P = _spd(rng, 3)
+    for _ in range(5):
+        cones = [rng.uniform(0.5, 2.0, 3), sla.cholesky(P, lower=True),
+                 rng.uniform(0.5, 2.0, 1), rng.normal(size=2),
+                 rng.uniform(0.5, 2.0, 4)]
+        dirs = [rng.normal(size=3), -P, rng.normal(size=1), rng.normal(size=2),
+                rng.normal(size=4)]
+        per_block = [_max_step_diag(x, dx) for x, dx in
+                     zip(cones[::2], dirs[::2])] + [_max_step_psd(cones[1], dirs[1])]
+        assert _max_step(compiled, cones, dirs) == min(per_block)
+    up = [np.abs(d) for d in dirs]
+    up[1] = P
+    assert _max_step(compiled, cones, up) == np.inf
+    for bi in range(len(kinds)):
+        bad = list(dirs)
+        bad[bi] = np.full_like(dirs[bi], np.nan)
+        with pytest.raises(_NumericalProblem):
+            _max_step(compiled, cones, bad)
 
 
 def test_cone_factor_rejects_indefinite_iterate():
