@@ -14,7 +14,11 @@ full `solver.solve`; on the margin form also one step-length call
 `solver._compile`.  It also times one solve and one compile of the first
 linear program that `oracle.exact_gamma` hands the solver on the
 depth-2, width-8, seed-0 fixture (diagonal blocks of 2, 1 and 6 slacks,
-6 constraints).  Every timing follows a discarded warm-up so that the
+6 constraints).  The layers before the solver are timed on the same
+depth-12 instance: `build_relaxation`, `to_standard_form` of its result
+and `build_strict_feasibility` of that; and one whole `exact_gamma` on
+the depth-2 fixture, which builds and solves every branch pattern's two
+linear programs.  Every timing follows a discarded warm-up so that the
 first LAPACK call is not timed.  Every solve asserts its status and
 iteration count, so a faster run is never a different convergence.
 
@@ -34,12 +38,19 @@ import scipy.linalg as sla
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sdpverify import cli, oracle, solver  # noqa: E402
-from sdpverify.sdpform import Variant, build_strict_feasibility  # noqa: E402
+from sdpverify.sdpform import (  # noqa: E402
+    Variant,
+    build_relaxation,
+    build_strict_feasibility,
+    to_standard_form,
+)
 
 # (status, iterations) of each form's solve.  The same with one and two
 # OpenBLAS threads on a 2-core x86-64 machine.
 EXPECTED = {"margin": ("Optimal", 32), "radius": ("Optimal", 32)}
 LP_EXPECTED = ("Optimal", 15)
+# exact_gamma on the depth-2 fixture, bit for bit
+GAMMA_EXPECTED = -0.012376198115789574
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +146,45 @@ def test_max_step_psd(benchmark, forms):
     step = benchmark.pedantic(solver._max_step_psd, args=(L, S - X),
                               rounds=200, iterations=1, warmup_rounds=5)
     assert 0.0 < step < np.inf
+
+
+@pytest.fixture(scope="module")
+def base_instance():
+    net, center = cli.random_instance(12, 8, seed=0)
+    prep = cli.prepare_instance(net, center, 0.1)
+    return prep, cli._competitors(prep, None)[0]
+
+
+def test_build_relaxation(benchmark, base_instance):
+    prep, target = base_instance
+    prob = benchmark.pedantic(build_relaxation,
+                              args=(prep.net, prep.bounds, target, Variant.base()),
+                              rounds=50, iterations=1, warmup_rounds=5)
+    assert prob.num_constraints == 271
+
+
+def test_to_standard_form(benchmark, base_instance):
+    prep, target = base_instance
+    prob = build_relaxation(prep.net, prep.bounds, target, Variant.base())
+    std = benchmark.pedantic(to_standard_form, args=(prob,), rounds=50,
+                             iterations=1, warmup_rounds=5)
+    assert [b.dim for b in std.blocks] == [70, 203]
+
+
+def test_build_strict_feasibility(benchmark, base_instance):
+    prep, target = base_instance
+    std = to_standard_form(
+        build_relaxation(prep.net, prep.bounds, target, Variant.base()))
+    sf = benchmark.pedantic(build_strict_feasibility, args=(std,), rounds=50,
+                            iterations=1, warmup_rounds=5)
+    assert [b.kind for b in sf.blocks] == ["psd", "diag", "free"]
+
+
+def test_exact_gamma(benchmark):
+    net, center = cli.random_instance(2, 8, seed=0)
+    prep = cli.prepare_instance(net, center, 0.1)
+    target = cli._competitors(prep, None)[0]
+    gamma = benchmark.pedantic(oracle.exact_gamma,
+                               args=(prep.net, prep.bounds, target),
+                               rounds=20, iterations=1, warmup_rounds=2)
+    assert gamma == GAMMA_EXPECTED

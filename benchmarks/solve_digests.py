@@ -5,12 +5,16 @@
 Runs every request in the three pools of `perfbench/reference.json`
 (verify-deep, sweep-grid, oracle-lp) once, in pool order, through the
 workload classes of `perfbench/workloads.py`, with `sdpverify.solver.solve`
-wrapped to record what each call returns.  Each call prints one line:
+wrapped to record what each call gets and returns.  Each call prints one
+line:
 
-    <workload> <request key> <status> <iterations> <sha256>
+    <workload> <request key> <status> <iterations> <sha256> <m> <nnz>
 
-where the hash covers the bytes of the final `xblocks`, `y` and `sblocks`.
-Two checkouts whose outputs `diff` clean made bit-identical solves.  BLAS
+where the hash covers the bytes of the final `xblocks`, `y` and `sblocks`,
+and m and nnz are the problem's constraint count and stored constraint
+nonzeros, counted as `perfbench/tracing.py` counts them for `sdpform.rows`
+and `sdpform.nnz`.  Two checkouts whose outputs `diff` clean made
+bit-identical solves of problems of the same size.  BLAS
 is pinned to one thread before numpy loads, as in the benchmark, since
 the thread count moves iterates.  A status count and the elapsed seconds
 go to stderr.  The package is imported from this checkout's `src/`;
@@ -37,6 +41,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import run  # noqa: E402
+from tracing import _problem_size  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -56,7 +61,8 @@ def main() -> None:
 
     def recording(prob, config=None, trace=None):
         sol = real(prob, config, trace)
-        lines.append(f"{sol.status} {sol.iterations} {digest(sol)}")
+        m, nnz = _problem_size(prob)
+        lines.append(f"{sol.status} {sol.iterations} {digest(sol)} {m} {nnz}")
         return sol
 
     statuses = Counter()

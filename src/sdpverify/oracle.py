@@ -22,11 +22,10 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .network import Network, predict
 from .bounds import LayerBounds
-from .sdpform import Block, Constraint, SdpProblem, to_standard_form
+from .sdpform import Block, Constraint, Coo, SdpProblem, to_standard_form
 from . import solver as _solver
 
 __all__ = ["PATTERN_CAP", "PatternCapError", "exact_gamma"]
@@ -48,13 +47,13 @@ class PatternCapError(ValueError):
     """Network has too many hidden neurons to enumerate branch patterns."""
 
 
-def _diag_entries(values: np.ndarray, dim: int) -> sp.coo_matrix:
+def _diag_entries(values: np.ndarray, dim: int) -> Coo:
     idx = np.nonzero(values)[0]
-    return sp.coo_matrix((values[idx], (idx, idx)), shape=(dim, dim))
+    return Coo.of(idx, idx, values[idx], (dim, dim))
 
 
-def _diag_entry(dim: int, k: int, value: float) -> sp.coo_matrix:
-    return sp.coo_matrix(([value], ([k], [k])), shape=(dim, dim))
+def _diag_entry(dim: int, k: int, value: float) -> Coo:
+    return Coo.of([k], [k], [value], (dim, dim))
 
 
 def _run_lp(prob: SdpProblem, what: str) -> _solver.SdpSolution:

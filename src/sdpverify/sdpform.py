@@ -25,15 +25,16 @@ never overtakes the prediction on the box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bounds import LayerBounds
 from .network import Network, predict
 
 __all__ = [
     "Block",
+    "Coo",
     "Constraint",
     "SdpProblem",
     "VariableLayout",
@@ -156,9 +157,53 @@ class Variant:
         return cls(name)
 
 
+class Coo(NamedTuple):
+    """One block's coefficient matrix as coordinate entries.  `Coo.of`
+    stores them as scipy's `sum_duplicates` leaves a coo matrix: sorted by
+    (row, col), repeated positions summed in entry order, explicit zeros
+    kept.  Built field by field, a Coo may hold any order."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def of(cls, row, col, data, shape) -> "Coo":
+        row = np.asarray(row, dtype=np.int64)
+        col = np.asarray(col, dtype=np.int64)
+        data = np.asarray(data, dtype=float)
+        if not row.ndim == 1 or not row.shape == col.shape == data.shape:
+            raise ValueError("row, col and data must be 1-d and equally long")
+        if row.size > 1:
+            order = np.lexsort((col, row))
+            row, col, data = row[order], col[order], data[order]
+            first = np.ones(row.size, dtype=bool)
+            first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+            if not first.all():
+                data = np.add.reduceat(data, np.flatnonzero(first))
+                row, col = row[first], col[first]
+        # rows are sorted now, so their ends bound them
+        if row.size and not (0 <= row[0] and row[-1] < shape[0]
+                             and 0 <= col.min() and col.max() < shape[1]):
+            raise ValueError(f"entry index out of range for shape {shape}")
+        return cls(row, col, data, tuple(shape))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self) -> np.ndarray:
+        """Dense matrix; duplicates add up in entry order, as in scipy."""
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.row, self.col), self.data)
+        return out
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """tr(A X) (sense) rhs, with per-block coefficient matrices."""
+    """tr(A X) (sense) rhs; `terms` maps block index to the block's A as a
+    `Coo`, and blocks the constraint does not touch are left out."""
 
     terms: dict
     rhs: float
@@ -170,7 +215,9 @@ class Constraint:
 class SdpProblem:
     """Block-diagonal SDP: minimize sum_b tr(C_b X_b) + obj_offset.
 
-    Treated as immutable once built; transforms return new problems.
+    `objective` maps block index to C_b as a `Coo`, like
+    `Constraint.terms`.  Treated as immutable once built; transforms
+    return new problems.
     `layout` indexes block 0 by network layer when a relaxation built it;
     `dscale` is the diagonal D of `apply_dscale` once applied, which
     `unscale_psd_block` undoes.  The standard-form and strict-feasibility
@@ -205,10 +252,9 @@ class SdpProblem:
                 blk = self.blocks[bidx]
                 if mat.shape != (blk.dim, blk.dim):
                     raise ValueError(f"{where}: coefficient shape {mat.shape}")
-                coo = mat.tocoo()
                 if blk.kind == "psd":
-                    _check_symmetric(coo, where)
-                elif not (coo.row == coo.col).all():
+                    _check_symmetric(mat, where)
+                elif not (mat.row == mat.col).all():
                     raise ValueError(
                         f"{where}: off-diagonal entry in {blk.kind} block"
                     )
@@ -219,17 +265,11 @@ class SdpProblem:
                 raise ValueError(f"constraint {k}: non-finite rhs")
 
 
-def _check_symmetric(coo: sp.coo_matrix, where: str) -> None:
-    order_fwd = np.lexsort((coo.col, coo.row))
-    order_bwd = np.lexsort((coo.row, coo.col))
-    same = (
-        (coo.row[order_fwd] == coo.col[order_bwd]).all()
-        and (coo.col[order_fwd] == coo.row[order_bwd]).all()
-    )
-    scale = np.abs(coo.data).max() if coo.nnz else 1.0
-    if not same or not np.allclose(
-        coo.data[order_fwd], coo.data[order_bwd], atol=1e-12 * (1.0 + scale)
-    ):
+def _check_symmetric(mat: Coo, where: str) -> None:
+    a, t = Coo.of(*mat), Coo.of(mat.col, mat.row, mat.data, mat.shape)
+    scale = np.abs(a.data).max() if a.nnz else 1.0
+    if not (np.array_equal(a.row, t.row) and np.array_equal(a.col, t.col)
+            and np.allclose(a.data, t.data, atol=1e-12 * (1.0 + scale))):
         raise ValueError(f"{where}: coefficient matrix not symmetric")
 
 
@@ -260,12 +300,8 @@ class _SymAccum:
             self.cols.extend((q, p))
             self.vals.extend((half, half))
 
-    def matrix(self) -> sp.coo_matrix:
-        m = sp.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-        )
-        m.sum_duplicates()
-        return m
+    def matrix(self) -> Coo:
+        return Coo.of(self.rows, self.cols, self.vals, (self.dim, self.dim))
 
 
 def build_relaxation(
@@ -404,17 +440,8 @@ def apply_dscale(prob: SdpProblem, bounds: LayerBounds) -> SdpProblem:
         d[layout.layer_slice(i)] = u
 
     def scale_terms(terms: dict) -> dict:
-        out = {}
-        for bidx, mat in terms.items():
-            if bidx != 0:
-                out[bidx] = mat
-                continue
-            coo = mat.tocoo()
-            out[bidx] = sp.coo_matrix(
-                (coo.data * d[coo.row] * d[coo.col], (coo.row, coo.col)),
-                shape=coo.shape,
-            )
-        return out
+        return {bidx: mat._replace(data=mat.data * d[mat.row] * d[mat.col])
+                if bidx == 0 else mat for bidx, mat in terms.items()}
 
     return SdpProblem(
         blocks=prob.blocks,
@@ -456,9 +483,7 @@ def to_standard_form(prob: SdpProblem) -> SdpProblem:
             continue
         sign = 1.0 if c.sense == "<=" else -1.0
         terms = dict(c.terms)
-        terms[slack_block] = sp.coo_matrix(
-            ([sign], ([slot], [slot])), shape=(n_ineq, n_ineq)
-        )
+        terms[slack_block] = Coo.of([slot], [slot], [sign], (n_ineq, n_ineq))
         constraints.append(Constraint(terms, c.rhs, "=", c.label))
         slot += 1
     return SdpProblem(
@@ -492,18 +517,14 @@ def build_strict_feasibility(prob: SdpProblem) -> SdpProblem:
     lam_block = len(prob.blocks)
     constraints = []
     for c in prob.constraints:
-        t = 0.0
-        for bidx in shifted:
-            mat = c.terms.get(bidx)
-            if mat is not None:
-                coo = mat.tocoo()
-                on_diag = coo.row == coo.col
-                t += float(coo.data[on_diag].sum())
+        # tr(A_j) over the shifted blocks, summed block after block
+        t = sum(float(mat.data[mat.row == mat.col].sum())
+                for mat in map(c.terms.get, shifted) if mat is not None)
         terms = dict(c.terms)
         if t != 0.0:
-            terms[lam_block] = sp.coo_matrix(([t], ([0], [0])), shape=(1, 1))
+            terms[lam_block] = Coo.of([0], [0], [t], (1, 1))
         constraints.append(Constraint(terms, c.rhs, "=", c.label))
-    objective = {lam_block: sp.coo_matrix(([-1.0], ([0], [0])), shape=(1, 1))}
+    objective = {lam_block: Coo.of([0], [0], [-1.0], (1, 1))}
     return SdpProblem(
         blocks=prob.blocks + (Block("free", 1),),
         objective=objective,
@@ -527,11 +548,10 @@ def lifted_point(layout: VariableLayout, acts: list[np.ndarray]) -> np.ndarray:
     return np.outer(v, v)
 
 
-def _term_value(mat, xb) -> float:
-    coo = mat.tocoo()
+def _term_value(mat: Coo, xb) -> float:
     if xb.ndim == 1:
-        return float(coo.data @ xb[coo.row])
-    return float(coo.data @ xb[coo.row, coo.col])
+        return float(mat.data @ xb[mat.row])
+    return float(mat.data @ xb[mat.row, mat.col])
 
 
 def objective_value(prob: SdpProblem, xblocks: list[np.ndarray]) -> float:
@@ -578,24 +598,14 @@ def write_sdpa(prob: SdpProblem, path: str) -> None:
         ),
         " ".join(_fmt(c.rhs) for c in prob.constraints),
     ]
-    entries = []
-
-    def collect(cons_no: int, terms: dict) -> None:
+    for cons_no, terms in enumerate(
+        [prob.objective] + [c.terms for c in prob.constraints]
+    ):
         for bidx in sorted(terms):
-            coo = terms[bidx].tocoo()
-            coo.sum_duplicates()
-            upper = coo.row <= coo.col
-            rows, cols, vals = coo.row[upper], coo.col[upper], coo.data[upper]
-            order = np.lexsort((cols, rows))
-            for r, cc, v in zip(rows[order], cols[order], vals[order]):
-                if v != 0.0:
-                    entries.append((cons_no, bidx + 1, int(r) + 1, int(cc) + 1, v))
-
-    collect(0, prob.objective)
-    for k, c in enumerate(prob.constraints):
-        collect(k + 1, c.terms)
-    for cons_no, blk, i, j, v in entries:
-        lines.append(f"{cons_no} {blk} {i} {j} {_fmt(v)}")
+            coo = Coo.of(*terms[bidx])  # sorted by (row, col)
+            for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data):
+                if i <= j and v != 0.0:
+                    lines.append(f"{cons_no} {bidx + 1} {i + 1} {j + 1} {_fmt(v)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -605,48 +615,37 @@ def _fmt(v: float) -> str:
 
 
 def read_sdpa(path: str) -> SdpProblem:
-    """Parse a sparse SDPA file written by write_sdpa (round-trip checks)."""
+    """Parse a sparse SDPA file written by write_sdpa (round-trip checks).
+
+    The header is read as one token stream, whatever its line breaks: m,
+    the block count, the block dimensions and m right-hand sides (an empty
+    line when m = 0), then the entries in fives.
+    """
     with open(path) as fh:
-        tokens_lines = [ln.split() for ln in fh if ln.strip() and ln[0] not in "*\""]
-    m = int(tokens_lines[0][0])
-    nblocks = int(tokens_lines[1][0])
-    dims = [int(t) for t in tokens_lines[2][:nblocks]]
-    blocks = tuple(
-        Block("psd" if d > 0 else "diag", abs(d)) for d in dims
-    )
-    rhs = [float(t) for t in tokens_lines[3][:m]]
-    obj_entries: dict[int, list] = {}
-    cons_entries: list[dict[int, list]] = [dict() for _ in range(m)]
-    for toks in tokens_lines[4:]:
-        cons_no, blk, i, j, v = (
-            int(toks[0]),
-            int(toks[1]) - 1,
-            int(toks[2]) - 1,
-            int(toks[3]) - 1,
-            float(toks[4]),
-        )
-        sink = obj_entries if cons_no == 0 else cons_entries[cons_no - 1]
-        triplets = sink.setdefault(blk, [])
-        triplets.append((i, j, v))
-        if i != j:
-            triplets.append((j, i, v))
-
-    def build(entry_map: dict[int, list]) -> dict:
-        out = {}
-        for bidx, trip in entry_map.items():
-            rows = [t[0] for t in trip]
-            cols = [t[1] for t in trip]
-            vals = [t[2] for t in trip]
-            d = blocks[bidx].dim
-            out[bidx] = sp.coo_matrix((vals, (rows, cols)), shape=(d, d))
-        return out
-
+        toks = [t for ln in fh if ln[:1] not in "*\"" for t in ln.split()]
+    m, nblocks = int(toks[0]), int(toks[1])
+    blocks = tuple(Block("psd" if d > 0 else "diag", abs(d))
+                   for d in map(int, toks[2:2 + nblocks]))
+    rhs = [float(t) for t in toks[2 + nblocks:2 + nblocks + m]]
+    body = toks[2 + nblocks + m:]
+    if len(body) % 5:
+        raise ValueError(f"{path}: entry lines must hold five fields each")
+    entries = [{} for _ in range(m + 1)]  # number 0 is the objective
+    for at in range(0, len(body), 5):
+        k, b, i, j = (int(t) for t in body[at:at + 4])
+        if not (0 <= k <= m and 1 <= b <= nblocks):
+            raise ValueError(f"{path}: entry for constraint {k}, block {b}")
+        rows, cols, vals = entries[k].setdefault(b - 1, ([], [], []))
+        for r, c in [(i, j)] if i == j else [(i, j), (j, i)]:
+            rows.append(r - 1)
+            cols.append(c - 1)
+            vals.append(float(body[at + 4]))
+    terms = [{b: Coo.of(*e, (blocks[b].dim,) * 2) for b, e in by_block.items()}
+             for by_block in entries]
     return SdpProblem(
         blocks=blocks,
-        objective=build(obj_entries),
+        objective=terms[0],
         obj_offset=0.0,
-        constraints=[
-            Constraint(build(cons_entries[k]), rhs[k], "=", f"row[{k}]")
-            for k in range(m)
-        ],
+        constraints=[Constraint(terms[k + 1], rhs[k], "=", f"row[{k}]")
+                     for k in range(m)],
     )

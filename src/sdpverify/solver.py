@@ -27,7 +27,8 @@ scipy's csr_matvec and csr_matvecs kernels directly as scipy.sparse
 would, without the per-call checks and dispatch, so the iterates are bit
 for bit those of the scipy calls.  The constraint data is compiled once
 per solve from all (constraint, row, col, value) triplets of a block at
-once, in the canonical order scipy's coo-to-csr path gives.
+once: sorted by (constraint, row, col) with duplicates summed in entry
+order, then laid out as csr arrays with one row per constraint.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -196,20 +197,20 @@ def _dense(A: _Csr) -> np.ndarray:
     return out
 
 
-def _triplets(present, coos):
-    """(constraint, row, col, value) of the entries of `coos`, the coo
-    matrices of constraints `present` (ascending), made canonical as
-    `coo.sum_duplicates` makes each matrix: sorted by (j, row, col) with
-    duplicates summed in entry order, by one stable sort and one reduceat
-    for all of them.  The matrices are only read, never sorted or merged
-    in place."""
-    if not coos:
+def _triplets(present, mats):
+    """(constraint, row, col, value) of the entries of `mats`, the `Coo`
+    terms of constraints `present` (ascending), sorted by (j, row, col)
+    with duplicates summed in entry order, by one stable sort and one
+    reduceat for all of them.  `Coo.of` terms are canonical already; the
+    sort makes terms built field by field, in any order and with repeated
+    positions, compile the same.  The terms are only read."""
+    if not mats:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0)
-    j = np.repeat(present, [coo.data.size for coo in coos])
-    row = np.concatenate([coo.row for coo in coos], dtype=np.int64)
-    col = np.concatenate([coo.col for coo in coos], dtype=np.int64)
-    val = np.concatenate([coo.data for coo in coos], dtype=float)
+    j = np.repeat(present, [mat.data.size for mat in mats])
+    row = np.concatenate([mat.row for mat in mats], dtype=np.int64)
+    col = np.concatenate([mat.col for mat in mats], dtype=np.int64)
+    val = np.concatenate([mat.data for mat in mats], dtype=float)
     order = np.lexsort((col, row, j))
     j, row, col, val = j[order], row[order], col[order], val[order]
     first = np.ones(j.size, dtype=bool)
@@ -254,16 +255,15 @@ def _compile(prob: SdpProblem):
         else:
             C = np.zeros(d)
             if cmat is not None:
-                coo = cmat.tocoo()
-                np.add.at(C, coo.row, coo.data)
-        present, coos = [], []
+                np.add.at(C, cmat.row, cmat.data)
+        present, mats = [], []
         for j, cons in enumerate(prob.constraints):
             mat = cons.terms.get(bidx)
             if mat is not None:
                 present.append(j)
-                coos.append(mat.tocoo())
+                mats.append(mat)
         present = np.array(present, dtype=np.int64)
-        j, row, col, val = _triplets(present, coos)
+        j, row, col, val = _triplets(present, mats)
         # the csr arrays tocsr gives: entries by (j, column); transposed,
         # by (column, j), which a stable sort on the column yields
         ncols = d * d if psd else d

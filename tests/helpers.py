@@ -1,11 +1,10 @@
 """Builders shared across the test modules."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from sdpverify.bounds import input_box, propagate
 from sdpverify.network import Network
-from sdpverify.sdpform import Block, Constraint, SdpProblem
+from sdpverify.sdpform import Block, Constraint, Coo, SdpProblem
 
 
 def make_net(rng, sizes):
@@ -37,10 +36,11 @@ def sym(rng, d):
     return (M + M.T) / 2.0
 
 
-def _diag_coo(values):
-    d = len(values)
-    idx = np.arange(d)
-    return sp.coo_matrix((np.asarray(values, dtype=float), (idx, idx)), shape=(d, d))
+def coo(A):
+    """The nonzero entries of a dense matrix as a `Coo`, row by row."""
+    A = np.asarray(A, dtype=float)
+    row, col = np.nonzero(A)
+    return Coo.of(row, col, A[row, col], A.shape)
 
 
 def planted_instance(rng, psd_dims, diag_dims=(), m=None):
@@ -84,11 +84,11 @@ def planted_instance(rng, psd_dims, diag_dims=(), m=None):
             if blk.kind == "psd":
                 A = sym(rng, blk.dim)
                 rhs += float((A * xhat[bidx]).sum())
-                terms[bidx] = sp.coo_matrix(A)
+                terms[bidx] = coo(A)
             else:
                 A = rng.normal(size=blk.dim)
                 rhs += float(A @ xhat[bidx])
-                terms[bidx] = _diag_coo(A)
+                terms[bidx] = coo(np.diag(A))
             row.append(A)
         coeffs.append(row)
         constraints.append(Constraint(terms=terms, rhs=rhs, sense="=", label=f"plant[{j}]"))
@@ -98,10 +98,10 @@ def planted_instance(rng, psd_dims, diag_dims=(), m=None):
         C = shat[bidx] + sum(yhat[j] * coeffs[j][bidx] for j in range(m))
         if blk.kind == "psd":
             opt += float((C * xhat[bidx]).sum())
-            objective[bidx] = sp.coo_matrix(C)
+            objective[bidx] = coo(C)
         else:
             opt += float(C @ xhat[bidx])
-            objective[bidx] = _diag_coo(C)
+            objective[bidx] = coo(np.diag(C))
     prob = SdpProblem(
         blocks=blocks,
         objective=objective,

@@ -357,12 +357,11 @@ def test_criterion_10_planted_solver_portfolio():
 
 
 def test_criterion_11_hand_built_radii():
-    import scipy.sparse as sp
-
+    from helpers import coo
     from sdpverify.sdpform import Block, Constraint, SdpProblem
 
     def radius(dim, rows):
-        cons = [Constraint({0: sp.coo_matrix(np.asarray(A, float))}, b, "=", lab)
+        cons = [Constraint({0: coo(A)}, b, "=", lab)
                 for A, b, lab in rows]
         prob = SdpProblem(blocks=(Block("psd", dim),), objective={},
                           obj_offset=0.0, constraints=cons)

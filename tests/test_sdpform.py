@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import box_trace_cap, boxed, make_net, sample_box
+from helpers import box_trace_cap, boxed, coo, make_net, sample_box
+from sdpverify import sdpform
 from sdpverify.analysis import trace_bounds
 from sdpverify.network import Network, activations, predict
 from sdpverify.sdpform import (
     VARIANT_NAMES,
     Block,
     Constraint,
+    Coo,
     SdpProblem,
     Variant,
     apply_dscale,
@@ -44,7 +46,7 @@ def _census(prob):
 def _hand_sdp(dim, rows):
     """Equality-constrained SDP on one psd block; rows are (matrix, rhs, label)."""
     cons = [
-        Constraint({0: sp.coo_matrix(np.asarray(A, dtype=float))}, float(b), "=", lab)
+        Constraint({0: coo(A)}, float(b), "=", lab)
         for A, b, lab in rows
     ]
     return SdpProblem(
@@ -114,7 +116,7 @@ def test_variants_build_distinct_rows(tiny_net):
     def rows(name):
         prob = build_relaxation(tiny_net, bounds, 1, Variant.parse(name))
         return [(c.label, c.sense, c.rhs,
-                 sorted((k, sp.csr_matrix(A).toarray().tolist())
+                 sorted((k, A.toarray().tolist())
                         for k, A in c.terms.items()))
                 for c in prob.constraints]
 
@@ -316,11 +318,11 @@ def test_dscale_rejects_double_and_dead(tiny_net):
 def test_standard_form_slack_accounting():
     A = np.eye(2)
     rows = [
-        Constraint({0: sp.coo_matrix(A)}, 1.0, "<=", "a"),
-        Constraint({0: sp.coo_matrix(A)}, -1.0, ">=", "b"),
-        Constraint({0: sp.coo_matrix(np.diag([1.0, 0.0]))}, 0.5, "<=", "c"),
-        Constraint({0: sp.coo_matrix(A)}, 1.0, "=", "d"),
-        Constraint({0: sp.coo_matrix(np.diag([0.0, 1.0]))}, 0.25, "=", "e"),
+        Constraint({0: coo(A)}, 1.0, "<=", "a"),
+        Constraint({0: coo(A)}, -1.0, ">=", "b"),
+        Constraint({0: coo(np.diag([1.0, 0.0]))}, 0.5, "<=", "c"),
+        Constraint({0: coo(A)}, 1.0, "=", "d"),
+        Constraint({0: coo(np.diag([0.0, 1.0]))}, 0.25, "=", "e"),
     ]
     prob = SdpProblem(blocks=(Block("psd", 2),), objective={},
                       obj_offset=0.0, constraints=rows)
@@ -341,9 +343,9 @@ def test_standard_form_preserves_optimum():
     # min x11 subject to x11 >= 1: slack formulation still bottoms at 1
     prob = SdpProblem(
         blocks=(Block("psd", 1),),
-        objective={0: sp.coo_matrix([[1.0]])},
+        objective={0: coo([[1.0]])},
         obj_offset=0.0,
-        constraints=[Constraint({0: sp.coo_matrix([[1.0]])}, 1.0, ">=", "floor")],
+        constraints=[Constraint({0: coo([[1.0]])}, 1.0, ">=", "floor")],
     )
     sol = solve(to_standard_form(prob), SolverConfig(gap_tol=1e-9, feas_tol=1e-9))
     assert sol.status == "Optimal"
@@ -388,7 +390,7 @@ def test_inscribed_ball_shift_skips_slack():
         blocks=(Block("psd", 1),),
         objective={},
         obj_offset=0.0,
-        constraints=[Constraint({0: sp.coo_matrix([[1.0]])}, 2.0, "<=", "cap")],
+        constraints=[Constraint({0: coo([[1.0]])}, 2.0, "<=", "cap")],
     )
     std = to_standard_form(prob)
     sf = build_strict_feasibility(std)
@@ -404,7 +406,7 @@ def test_inscribed_ball_rejects_inequalities():
         blocks=(Block("psd", 1),),
         objective={},
         obj_offset=0.0,
-        constraints=[Constraint({0: sp.coo_matrix([[1.0]])}, 1.0, "<=", "cap")],
+        constraints=[Constraint({0: coo([[1.0]])}, 1.0, "<=", "cap")],
     )
     with pytest.raises(ValueError):
         build_strict_feasibility(prob)
@@ -441,6 +443,27 @@ def test_sdpa_round_trip(tmp_path):
         )
 
 
+def test_sdpa_round_trip_without_constraints(tmp_path):
+    # the right-hand-side line is empty; the first objective entry survives
+    C = np.array([[1.0, 0.5], [0.5, 2.0]])
+    prob = SdpProblem(blocks=(Block("psd", 2),), objective={0: coo(C)},
+                      obj_offset=0.0, constraints=[])
+    path = tmp_path / "empty.dat-s"
+    write_sdpa(prob, path)
+    back = read_sdpa(path)
+    assert back.blocks == prob.blocks and back.num_constraints == 0
+    assert np.array_equal(back.objective[0].toarray(), C)
+
+
+def test_sdpa_reader_rejects_entries_outside_the_problem(tmp_path):
+    # one constraint, one 1x1 block; each entry names a slot that is not there
+    for entry in ("0 0 1 1 5.0", "-1 1 1 1 3.0", "2 1 1 1 2.0", "1 1 2 1 1.0"):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(f"1\n1\n1\n1.0\n1 1 1 1 1.0\n{entry}\n")
+        with pytest.raises(ValueError):
+            read_sdpa(path)
+
+
 def test_sdpa_rejects_free_blocks(tmp_path):
     prob = _hand_sdp(1, [([[1.0]], 1.0, "tr")])
     sf = build_strict_feasibility(to_standard_form(prob))
@@ -454,7 +477,7 @@ def test_validate_catches_malformed_problems():
         objective={},
         obj_offset=0.0,
         constraints=[
-            Constraint({0: sp.coo_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))},
+            Constraint({0: coo(np.array([[0.0, 1.0], [0.0, 0.0]]))},
                        0.0, "=", "asym")
         ],
     )
@@ -465,7 +488,7 @@ def test_validate_catches_malformed_problems():
         objective={},
         obj_offset=0.0,
         constraints=[
-            Constraint({0: sp.coo_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))},
+            Constraint({0: coo(np.array([[0.0, 1.0], [1.0, 0.0]]))},
                        0.0, "=", "offdiag")
         ],
     )
@@ -475,7 +498,7 @@ def test_validate_catches_malformed_problems():
         blocks=(Block("psd", 1),),
         objective={},
         obj_offset=0.0,
-        constraints=[Constraint({0: sp.coo_matrix([[1.0]])}, 0.0, "<", "bad")],
+        constraints=[Constraint({0: coo([[1.0]])}, 0.0, "<", "bad")],
     )
     with pytest.raises(ValueError):
         bad_sense.validate()
@@ -483,7 +506,72 @@ def test_validate_catches_malformed_problems():
         blocks=(Block("psd", 1),),
         objective={},
         obj_offset=0.0,
-        constraints=[Constraint({3: sp.coo_matrix([[1.0]])}, 0.0, "=", "idx")],
+        constraints=[Constraint({3: coo([[1.0]])}, 0.0, "=", "idx")],
     )
     with pytest.raises(ValueError):
         bad_index.validate()
+
+
+def _scipy_of(row, col, data, shape):
+    """The entries as the scipy-based builder stored them: one scipy coo
+    matrix per term, after `sum_duplicates`."""
+    m = sp.coo_matrix((data, (row, col)), shape=shape)
+    m.sum_duplicates()
+    return Coo(m.row, m.col, m.data, m.shape)
+
+
+def _term_path_problems(monkeypatch):
+    """Every problem the scipy-free term path builds on the pinned fixtures:
+    all variants at depth 12 with and without scaling, their standard and
+    strict-feasibility forms, every oracle LP at depth 2, and one row whose
+    entries cancel to explicit zeros and repeat a position."""
+    from sdpverify import oracle, solver
+    from sdpverify.cli import _competitors, prepare_instance, random_instance
+
+    out = []
+    prep = prepare_instance(*random_instance(12, 8, seed=0), 0.1)
+    target = _competitors(prep, None)[0]
+    for name in VARIANT_NAMES:
+        prob = build_relaxation(prep.net, prep.bounds, target, Variant.parse(name))
+        for p in (prob, apply_dscale(prob, prep.bounds)):
+            std = to_standard_form(p)
+            out += [p, std, build_strict_feasibility(std)]
+
+    real = solver.solve
+
+    def record(prob, config=None, trace=None):
+        out.append(prob)
+        return real(prob, config, trace)
+
+    monkeypatch.setattr(solver, "solve", record)
+    prep = prepare_instance(*random_instance(2, 8, seed=0), 0.1)
+    oracle.exact_gamma(prep.net, prep.bounds, _competitors(prep, None)[0])
+    monkeypatch.setattr(solver, "solve", real)
+
+    acc = sdpform._SymAccum(3)
+    for p, q, c in [(0, 1, 0.5), (2, 2, 0.1), (1, 0, -0.5), (2, 2, 0.2),
+                    (1, 1, 1.0), (2, 2, 0.3), (1, 1, -1.0)]:
+        acc.add(p, q, c)
+    out.append(SdpProblem((Block("psd", 3),), {0: acc.matrix()}, 0.0, []))
+    return out
+
+
+def test_coo_terms_match_the_scipy_path_bit_for_bit(monkeypatch):
+    new = _term_path_problems(monkeypatch)
+    monkeypatch.setattr(Coo, "of", classmethod(lambda cls, *args: _scipy_of(*args)))
+    old = _term_path_problems(monkeypatch)
+    monkeypatch.undo()
+    assert len(new) == len(old) > 30
+    assert {len(p.blocks) for p in new[30:-1]} == {2, 3}  # both oracle LPs
+    for a, b in zip(new, old):
+        assert a.blocks == b.blocks
+        assert np.array_equal(a.rhs_vector(), b.rhs_vector())
+        for ta, tb in zip([a.objective] + [c.terms for c in a.constraints],
+                          [b.objective] + [c.terms for c in b.constraints]):
+            assert ta.keys() == tb.keys()
+            for k in ta:
+                for x, y in zip(ta[k][:3], tb[k][:3]):
+                    assert np.array_equal(x, y)
+                assert ta[k].nnz == tb[k].nnz
+    zeros = new[-1].objective[0]
+    assert zeros.nnz == 4 and (zeros.data == 0.0).sum() == 3

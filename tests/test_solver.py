@@ -9,12 +9,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helpers import planted_instance
+from helpers import coo, planted_instance
 from sdpverify import oracle, solver
 from sdpverify.cli import _competitors, _relaxation, prepare_instance, random_instance
 from sdpverify.sdpform import (
     Block,
     Constraint,
+    Coo,
     SdpProblem,
     Variant,
     build_strict_feasibility,
@@ -54,8 +55,8 @@ def _simple(objective, constraints, blocks=(Block("psd", 2),)):
 
 def test_minimum_trace_on_simplex():
     prob = _simple(
-        {0: sp.coo_matrix(np.eye(2))},
-        [Constraint({0: sp.coo_matrix(np.eye(2))}, 1.0, "=", "tr")],
+        {0: coo(np.eye(2))},
+        [Constraint({0: coo(np.eye(2))}, 1.0, "=", "tr")],
     )
     sol = solve(prob, SolverConfig())
     assert sol.status == "Optimal"
@@ -88,8 +89,8 @@ def test_planted_point_has_zero_residuals():
 
 def test_residuals_see_perturbations():
     prob = _simple(
-        {0: sp.coo_matrix(np.eye(2))},
-        [Constraint({0: sp.coo_matrix(np.eye(2))}, 1.0, "=", "tr")],
+        {0: coo(np.eye(2))},
+        [Constraint({0: coo(np.eye(2))}, 1.0, "=", "tr")],
     )
     X = np.eye(2) / 2 + np.diag([1e-3, 0.0])
     pres, _, _ = residuals(prob, [X], np.array([1.0]), [np.zeros((2, 2))])
@@ -133,8 +134,8 @@ def test_identical_runs_identical_iterates():
 
 def test_unbounded_objective_detected():
     prob = _simple(
-        {0: sp.coo_matrix(np.diag([-1.0, 0.0]))},
-        [Constraint({0: sp.coo_matrix(np.diag([0.0, 1.0]))}, 1.0, "=", "pin")],
+        {0: coo(np.diag([-1.0, 0.0]))},
+        [Constraint({0: coo(np.diag([0.0, 1.0]))}, 1.0, "=", "pin")],
     )
     sol = solve(prob, SolverConfig())
     assert sol.status == "Unbounded"
@@ -144,12 +145,12 @@ def test_free_variable_elimination():
     # min x with x >= 0 tied to a free variable pinned at 3
     prob = SdpProblem(
         blocks=(Block("diag", 1), Block("free", 1)),
-        objective={0: sp.coo_matrix([[1.0]])},
+        objective={0: coo([[1.0]])},
         obj_offset=0.0,
         constraints=[
-            Constraint({0: sp.coo_matrix([[1.0]]), 1: sp.coo_matrix([[-1.0]])},
+            Constraint({0: coo([[1.0]]), 1: coo([[-1.0]])},
                        0.0, "=", "tie"),
-            Constraint({1: sp.coo_matrix([[1.0]])}, 3.0, "=", "pin"),
+            Constraint({1: coo([[1.0]])}, 3.0, "=", "pin"),
         ],
     )
     sol = solve(prob, SolverConfig(gap_tol=1e-9, feas_tol=1e-9))
@@ -164,7 +165,7 @@ def test_two_free_blocks_around_a_cone_block():
     #   f - x0 = 1, g0 - x1 = -2, f + g1 = 5, g0 + g1 = 4
     # leave x = (f - 1, f + 1), so min x0 + x1 = 2f sits at f = 1
     def diag(*vals):
-        return sp.coo_matrix(np.diag(vals))
+        return coo(np.diag(vals))
 
     prob = SdpProblem(
         blocks=(Block("free", 1), Block("diag", 2), Block("free", 2)),
@@ -194,8 +195,8 @@ def test_overflow_ends_in_numerical_failure():
         objective={},
         obj_offset=0.0,
         constraints=[
-            Constraint({0: sp.coo_matrix(np.eye(2))}, 1e160, "=", "big"),
-            Constraint({1: sp.coo_matrix(np.eye(2))}, 1.0, "=", "unit"),
+            Constraint({0: coo(np.eye(2))}, 1e160, "=", "big"),
+            Constraint({1: coo(np.eye(2))}, 1.0, "=", "unit"),
         ],
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,8 +206,8 @@ def test_overflow_ends_in_numerical_failure():
 
 def test_rejects_non_standard_and_coneless_problems():
     ineq = _simple(
-        {0: sp.coo_matrix(np.eye(2))},
-        [Constraint({0: sp.coo_matrix(np.eye(2))}, 1.0, "<=", "cap")],
+        {0: coo(np.eye(2))},
+        [Constraint({0: coo(np.eye(2))}, 1.0, "<=", "cap")],
     )
     with pytest.raises(ValueError):
         solve(ineq, SolverConfig())
@@ -214,13 +215,13 @@ def test_rejects_non_standard_and_coneless_problems():
         blocks=(Block("free", 2),),
         objective={},
         obj_offset=0.0,
-        constraints=[Constraint({0: sp.coo_matrix(np.eye(2))}, 1.0, "=", "tr")],
+        constraints=[Constraint({0: coo(np.eye(2))}, 1.0, "=", "tr")],
     )
     with pytest.raises(ValueError):
         solve(free_only, SolverConfig())
     unpinned_free = SdpProblem(
         blocks=(Block("diag", 1), Block("free", 1)),
-        objective={0: sp.coo_matrix([[1.0]])},
+        objective={0: coo([[1.0]])},
         obj_offset=0.0,
         constraints=[],
     )
@@ -230,9 +231,10 @@ def test_rejects_non_standard_and_coneless_problems():
 
 def test_solve_leaves_the_problem_unchanged():
     # unsorted, with the (1, 1) entry stored twice
-    mat = sp.coo_matrix(([1.0, 2.0, 0.5], ([1, 0, 1], [1, 0, 1])), shape=(2, 2))
+    mat = Coo(np.array([1, 0, 1]), np.array([1, 0, 1]), np.array([1.0, 2.0, 0.5]),
+              (2, 2))
     before = (mat.row.copy(), mat.col.copy(), mat.data.copy(), mat.nnz)
-    prob = _simple({0: sp.coo_matrix(np.eye(2))},
+    prob = _simple({0: coo(np.eye(2))},
                    [Constraint({0: mat}, 1.0, "=", "w")])
     assert solve(prob, SolverConfig()).status == "Optimal"
     assert prob.constraints[0].terms[0] is mat
@@ -281,11 +283,10 @@ def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
             mat = cons.terms.get(bidx)
             if mat is None:
                 continue
-            coo = mat.tocoo()
-            coo.sum_duplicates()
-            rows = np.unique(coo.row)
+            mat = Coo.of(*mat)
+            rows = np.unique(mat.row)
             Asub = np.zeros((rows.size, cb.dim))
-            np.add.at(Asub, (np.searchsorted(rows, coo.row), coo.col), coo.data)
+            np.add.at(Asub, (np.searchsorted(rows, mat.row), mat.col), mat.data)
             V = xb[:, rows] @ (Asub @ si)
             M[:, j] += A @ V.T.ravel()
     return (M + M.T) / 2.0
@@ -316,20 +317,20 @@ def _interior_point(rng, prob):
 def _hand_built():
     """Constraint 1 has no psd term, constraint 3 an empty one; the second
     psd block appears in no constraint."""
-    def coo(rows, cols, vals, d):
-        return sp.coo_matrix((vals, (rows, cols)), shape=(d, d))
+    def entries(rows, cols, vals, d):
+        return Coo.of(rows, cols, vals, (d, d))
 
     blocks = (Block("psd", 4), Block("psd", 3), Block("diag", 2))
     cons = [
-        Constraint({0: coo([0, 2], [2, 0], [1.0, 1.0], 4),
-                    2: coo([0], [0], [1.0], 2)}, 1.0, "=", "c0"),
-        Constraint({2: coo([1], [1], [2.0], 2)}, 1.0, "=", "c1"),
-        Constraint({0: coo([1, 1, 3], [1, 3, 1], [3.0, -1.0, -1.0], 4)},
+        Constraint({0: entries([0, 2], [2, 0], [1.0, 1.0], 4),
+                    2: entries([0], [0], [1.0], 2)}, 1.0, "=", "c0"),
+        Constraint({2: entries([1], [1], [2.0], 2)}, 1.0, "=", "c1"),
+        Constraint({0: entries([1, 1, 3], [1, 3, 1], [3.0, -1.0, -1.0], 4)},
                    0.0, "=", "c2"),
-        Constraint({0: coo([], [], [], 4), 2: coo([0], [0], [1.0], 2)},
+        Constraint({0: entries([], [], [], 4), 2: entries([0], [0], [1.0], 2)},
                    2.0, "=", "c3"),
     ]
-    objective = {1: sp.coo_matrix(np.eye(3))}
+    objective = {1: coo(np.eye(3))}
     return SdpProblem(blocks=blocks, objective=objective, obj_offset=0.0,
                       constraints=cons)
 
