@@ -22,12 +22,31 @@ linear programs.  Every timing follows a discarded warm-up so that the
 first LAPACK call is not timed.  Every solve asserts its status and
 iteration count, so a faster run is never a different convergence.
 
+The cold-start entry is the exception: it times `python -c "import
+sdpverify.cli"` in a fresh interpreter, interpreter start-up included,
+and records the largest of the children's peak resident sets as
+`extra_info["child_maxrss_mb"]`.  Each child reads its own from
+/proc/self/status (VmHWM, Linux only): `ru_maxrss` of a child spawned
+by this process would report at least this process's peak, since exec
+carries the old high-water mark over.
+
+The solver loads scipy's compiled LAPACK and sparse modules without
+importing `scipy.linalg` or `scipy.sparse`.  Part of what those imports
+used to load now loads on first use, so the first solve in a fresh
+process pays about 20 ms that the import used to pay, mostly for
+`numpy.ma`, which numpy imports at the first `np.unique`.  On a 2-core
+x86-64 machine the first depth-2 `cli.run_verify` took 28-36 ms and the
+next 10-17 ms, against 11-17 ms and 9-17 ms when the import loaded both
+packages.
+
 This directory is outside the test suite's `testpaths`; name the file to
 run it.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,7 +54,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 from sdpverify import cli, oracle, solver  # noqa: E402
 from sdpverify.sdpform import (  # noqa: E402
@@ -188,3 +208,29 @@ def test_exact_gamma(benchmark):
                                args=(prep.net, prep.bounds, target),
                                rounds=20, iterations=1, warmup_rounds=2)
     assert gamma == GAMMA_EXPECTED
+
+
+# The child prints its own peak resident set: the kernel's VmHWM, which is
+# what ru_maxrss reports for a process that was not spawned by another.
+_COLD_IMPORT = ("import sdpverify.cli; "
+                "print(open('/proc/self/status').read())")
+
+
+def _fresh_import(env, peaks):
+    """`import sdpverify.cli` in a fresh interpreter; appends the child's
+    peak resident set in MB to `peaks`."""
+    out = subprocess.run([sys.executable, "-c", _COLD_IMPORT], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    kb = next(int(ln.split()[1]) for ln in out.splitlines()
+              if ln.startswith("VmHWM:"))
+    peaks.append(kb / 1024.0)
+
+
+def test_cold_import(benchmark):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    peaks = []
+    benchmark.pedantic(_fresh_import, args=(env, peaks), rounds=10,
+                       iterations=1, warmup_rounds=1)
+    benchmark.extra_info["child_maxrss_mb"] = max(peaks)

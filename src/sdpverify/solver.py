@@ -25,10 +25,20 @@ Factorizations, solves and eigenvalues call LAPACK directly with the
 arguments scipy.linalg would pass, and sparse products A @ x call
 scipy's csr_matvec and csr_matvecs kernels directly as scipy.sparse
 would, without the per-call checks and dispatch, so the iterates are bit
-for bit those of the scipy calls.  The constraint data is compiled once
-per solve from all (constraint, row, col, value) triplets of a block at
-once: sorted by (constraint, row, col) with duplicates summed in entry
-order, then laid out as csr arrays with one row per constraint.
+for bit those of the scipy calls.  Those kernels live in the compiled
+modules scipy/linalg/_flapack and scipy/sparse/_sparsetools, which are
+loaded from scipy's install directory at import time under private
+names (sdpverify._flapack, sdpverify._sparsetools).  Neither scipy.linalg
+nor scipy.sparse is imported: their package imports cost most of a
+process's start-up time and memory, for seven compiled functions.  The
+private names keep a later import of scipy.sparse intact: an extension
+loaded under its scipy.* name would already sit in sys.modules when
+scipy.sparse imports it, and would not be bound as its attribute.
+
+The constraint data is compiled once per solve from all (constraint,
+row, col, value) triplets of a block at once: sorted by (constraint,
+row, col) with duplicates summed in entry order, then laid out as csr
+arrays with one row per constraint.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -54,15 +64,43 @@ Everything is deterministic: same problem and config, same iterates.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import PathFinder
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dsyevr_lwork, dtrtrs
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .sdpform import SdpProblem
+
+
+def _load_scipy_extension(subpackage: str, name: str):
+    """scipy's compiled module `<subpackage>/<name>`, loaded from its file
+    as `sdpverify.<name>` without running any scipy `__init__`."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("sdpverify needs scipy, which is not installed",
+                          name="scipy")
+    dirs = [os.path.join(d, subpackage)
+            for d in scipy_spec.submodule_search_locations]
+    found = PathFinder.find_spec(name, dirs)
+    if found is None or not found.has_location:
+        raise ImportError(f"scipy has no compiled module {subpackage}/{name}",
+                          name=f"scipy.{subpackage}.{name}")
+    spec = importlib.util.spec_from_file_location(f"{__package__}.{name}",
+                                                  found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_scipy_extension("linalg", "_flapack")
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+dsyevr, dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
+_sparsetools = _load_scipy_extension("sparse", "_sparsetools")
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
 __all__ = [
     "OPTIMAL",

@@ -1,9 +1,20 @@
-"""Shared fixtures."""
+"""Shared fixtures.
 
-import numpy as np
-import pytest
+BLAS runs one thread in the suite, as in `perfbench/run.py`: which
+solves converge, and how fast on a busy machine, depends on the thread
+count.  OpenBLAS reads it when it loads, so it is set before numpy is
+first imported.
+"""
 
-from sdpverify.network import Network
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from sdpverify.network import Network  # noqa: E402
 
 
 @pytest.fixture

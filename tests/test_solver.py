@@ -1,7 +1,11 @@
 """Interior-point solver on planted instances and hand-built problems."""
 
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -431,6 +435,37 @@ def test_csr_kernels_match_scipy_bit_for_bit():
                 _matvecs(B, np.zeros((n + 1, 2)))
             with pytest.raises(ValueError):
                 _matvecs(B, np.zeros(n))
+
+
+_FRESH_IMPORT = """
+import sys
+import numpy as np
+import sdpverify.cli
+from sdpverify import solver
+loaded = [m for m in ("scipy.linalg", "scipy.sparse", "scipy._lib._util")
+          if m in sys.modules]
+assert not loaded, loaded
+import scipy.linalg, scipy.sparse
+assert scipy.sparse._sparsetools.csr_matvec
+assert scipy.linalg._flapack.dpotrf
+a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+assert np.array_equal(scipy.linalg.cholesky(a, lower=True),
+                      solver._potrf(a, clean=1))
+"""
+
+
+def test_import_loads_kernels_without_scipy_packages():
+    """In a fresh interpreter the solver imports neither scipy.linalg nor
+    scipy.sparse, and leaves both importable as usual afterwards; a
+    missing compiled module is an ImportError that names it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(ImportError, match="linalg/_missing"):
+        solver._load_scipy_extension("linalg", "_missing")
 
 
 def test_diagonal_steps_merge_into_one_pass():
