@@ -31,13 +31,11 @@ by this process would report at least this process's peak, since exec
 carries the old high-water mark over.
 
 The solver loads scipy's compiled LAPACK and sparse modules without
-importing `scipy.linalg` or `scipy.sparse`.  Part of what those imports
-used to load now loads on first use, so the first solve in a fresh
-process pays about 20 ms that the import used to pay, mostly for
-`numpy.ma`, which numpy imports at the first `np.unique`.  On a 2-core
-x86-64 machine the first depth-2 `cli.run_verify` took 28-36 ms and the
-next 10-17 ms, against 11-17 ms and 9-17 ms when the import loaded both
-packages.
+importing `scipy.linalg` or `scipy.sparse`, and avoids a bare
+`np.unique`, which imports `numpy.ma`.  On a 2-core x86-64 machine the
+first depth-2 `cli.run_verify` in a fresh process took 14-18 ms and the
+next 14-16 ms, against 31-40 ms and 14-17 ms while `numpy.ma` loaded on
+the first solve.
 
 This directory is outside the test suite's `testpaths`; name the file to
 run it.

@@ -16,6 +16,15 @@ with the box constraints tying each layer to its interval bounds.  The
 relaxation variants keep or loosen pieces of this family; every variant's
 feasible set contains the base one, so its optimum can only be lower.
 
+Every row is a hub row A = sym(e_r g^T), so tr(A P) = g . P[r] reads one
+row of P.  The unit pin, relu-pos (relu-leak under `leaky`), relu-aff
+and the objective hub at r = 0, the constant coordinate, with g carrying
+the affine weights.  A relu-comp row hubs at its own neuron r = x_{i+1,j}
+with g = e_r - W_i[j, :] on x_i - b_i[j] e_0, and a box row at its own
+coordinate r = x_{i,j} with g = e_r - (l + u)_j e_0.  The builder lays
+each family out as one block of hub indices and coefficient rows and
+turns all rows into their terms in one vectorized pass.
+
 The verification objective for a target label t against the predicted
 label s is c^T x_H + c_0 with c = (W_out[s,:] - W_out[t,:])^T and
 c_0 = b_out[s] - b_out[t]; a positive minimum certifies that the target
@@ -91,11 +100,6 @@ class VariableLayout:
     @property
     def dim(self) -> int:
         return 1 + sum(self.sizes)
-
-    def index(self, layer: int, j: int) -> int:
-        if not 0 <= j < self.sizes[layer]:
-            raise IndexError(f"neuron {j} out of range for layer {layer}")
-        return self.offsets[layer] + j
 
     def layer_slice(self, layer: int) -> slice:
         off = self.offsets[layer]
@@ -273,35 +277,33 @@ def _check_symmetric(mat: Coo, where: str) -> None:
         raise ValueError(f"{where}: coefficient matrix not symmetric")
 
 
-class _SymAccum:
-    """Builds a symmetric coefficient matrix from logical P-entry weights.
+def _hub_terms(rows, dim: int) -> list:
+    """One `Coo` per hub row A = sym(e_r g^T), for which tr(A P) = g . P[r].
 
-    add(p, q, c) contributes c * P[p, q] to the linear functional; off the
-    diagonal the weight is split across the (p, q) and (q, p) slots so that
-    tr(A P) reproduces it.
+    `rows` lists blocks of rows as (hub, cols, coefs): row k of a block has
+    hub r = hub[k] and g[cols[k]] = coefs[k], zero elsewhere.  Weights equal
+    to 0.0 are dropped; g_r stays on the diagonal and every other g_c is
+    halved into (r, c) and (c, r).  A row names each coordinate at most
+    once, so one sort by (row number, row, col) leaves every term as
+    `Coo.of` would, with nothing to sum.
     """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-
-    def add(self, p: int, q: int, coeff: float) -> None:
-        if coeff == 0.0:
-            return
-        if p == q:
-            self.rows.append(p)
-            self.cols.append(q)
-            self.vals.append(coeff)
-        else:
-            half = coeff / 2.0
-            self.rows.extend((p, q))
-            self.cols.extend((q, p))
-            self.vals.extend((half, half))
-
-    def matrix(self) -> Coo:
-        return Coo.of(self.rows, self.cols, self.vals, (self.dim, self.dim))
+    hubs = np.concatenate([hub for hub, _, _ in rows])
+    widths = np.concatenate([np.full(hub.size, cols.shape[1]) for hub, cols, _ in rows])
+    con = np.repeat(np.arange(hubs.size), widths)
+    col = np.concatenate([cols.ravel() for _, cols, _ in rows])
+    g = np.concatenate([coefs.ravel() for _, _, coefs in rows])
+    keep = g != 0.0
+    con, col, g = con[keep], col[keep], g[keep]
+    hub = hubs[con]
+    off = col != hub
+    g = np.where(off, g / 2.0, g)
+    con, g = np.concatenate([con, con[off]]), np.concatenate([g, g[off]])
+    row, col = np.concatenate([hub, col[off]]), np.concatenate([col, hub[off]])
+    order = np.lexsort((col, row, con))
+    con, row, col, g = con[order], row[order], col[order], g[order]
+    ends = np.searchsorted(con, np.arange(hubs.size + 1)).tolist()
+    return [Coo(row[a:b], col[a:b], g[a:b], (dim, dim))
+            for a, b in zip(ends, ends[1:])]
 
 
 def build_relaxation(
@@ -329,86 +331,55 @@ def build_relaxation(
         raise ValueError(f"target {target} equals the predicted label")
 
     layout = VariableLayout(net.layer_sizes)
-    dim = layout.dim
-    constraints: list[Constraint] = []
+    coord = np.arange(layout.dim)
+    # (hub, cols, coefs) per family of rows, (rhs, sense, label) per row
+    rows, heads = [(coord[:1], coord[:1, None], np.ones((1, 1)))], [(1.0, "=", "unit")]
 
-    def emit(acc: _SymAccum, rhs: float, sense: str, label: str) -> None:
-        constraints.append(Constraint({0: acc.matrix()}, float(rhs), sense, label))
-
-    unit = _SymAccum(dim)
-    unit.add(0, 0, 1.0)
-    emit(unit, 1.0, "=", "unit")
+    def family(name, hub, cols, coefs, rhs, sense):
+        rows.append((hub, cols, coefs))
+        heads.extend((r, sense, f"{name}[{j}]")
+                     for j, r in enumerate(np.broadcast_to(rhs, hub.shape).tolist()))
 
     for i in range(H):
         W, b = net.weights[i], net.biases[i]
-        n_out = W.shape[0]
-
-        def lin_terms(acc: _SymAccum, j: int, scale: float) -> None:
-            # scale * (W[j,:] . P[x_i]) gathered into the first row
-            for l in range(W.shape[1]):
-                acc.add(0, layout.index(i, l), scale * W[j, l])
-
+        out = coord[layout.layer_slice(i + 1), None]
+        lin = np.hstack([out, np.broadcast_to(coord[layout.layer_slice(i)], W.shape)])
+        at0, ones = np.zeros(len(b), dtype=np.int64), np.ones((len(b), 1))
         if variant.name == "leaky":
-            for j in range(n_out):
-                acc = _SymAccum(dim)
-                acc.add(0, layout.index(i + 1, j), 1.0)
-                lin_terms(acc, j, -variant.alpha)
-                emit(acc, variant.alpha * b[j], ">=", f"relu-leak[{i}][{j}]")
+            family(f"relu-leak[{i}]", at0, lin, np.hstack([ones, -variant.alpha * W]),
+                   variant.alpha * b, ">=")
         else:
-            for j in range(n_out):
-                acc = _SymAccum(dim)
-                acc.add(0, layout.index(i + 1, j), 1.0)
-                emit(acc, 0.0, ">=", f"relu-pos[{i}][{j}]")
-
-        for j in range(n_out):
-            acc = _SymAccum(dim)
-            acc.add(0, layout.index(i + 1, j), 1.0)
-            lin_terms(acc, j, -1.0)
-            emit(acc, b[j], ">=", f"relu-aff[{i}][{j}]")
+            family(f"relu-pos[{i}]", at0, out, ones, 0.0, ">=")
+        family(f"relu-aff[{i}]", at0, lin, np.hstack([ones, -W]), b, ">=")
 
         if variant.name != "problem-a":
-
-            def comp_row(j: int) -> _SymAccum:
-                acc = _SymAccum(dim)
-                out = layout.index(i + 1, j)
-                acc.add(out, out, 1.0)
-                for l in range(W.shape[1]):
-                    acc.add(layout.index(i, l), out, -W[j, l])
-                acc.add(0, out, -b[j])
-                return acc
-
+            comp = (out[:, 0], np.hstack([lin, at0[:, None]]),
+                    np.hstack([ones, -W, -b[:, None]]))
             if variant.name == "eps":
-                for j in range(n_out):
-                    emit(comp_row(j), variant.eps, "<=", f"relu-comp-ub[{i}][{j}]")
-                for j in range(n_out):
-                    emit(comp_row(j), -variant.eps, ">=", f"relu-comp-lb[{i}][{j}]")
+                family(f"relu-comp-ub[{i}]", *comp, variant.eps, "<=")
+                family(f"relu-comp-lb[{i}]", *comp, -variant.eps, ">=")
             elif variant.name == "leaky":
-                for j in range(n_out):
-                    emit(comp_row(j), 0.0, "<=", f"relu-comp-ub[{i}][{j}]")
+                family(f"relu-comp-ub[{i}]", *comp, 0.0, "<=")
             else:
-                for j in range(n_out):
-                    emit(comp_row(j), 0.0, "=", f"relu-comp[{i}][{j}]")
+                family(f"relu-comp[{i}]", *comp, 0.0, "=")
 
-    box_layers = [0] if variant.name == "bremove" else range(H + 1)
-    for i in box_layers:
+    for i in [0] if variant.name == "bremove" else range(H + 1):
         l, u = bounds.boxes[i]
-        for j in range(layout.sizes[i]):
-            acc = _SymAccum(dim)
-            idx = layout.index(i, j)
-            acc.add(idx, idx, 1.0)
-            acc.add(0, idx, -(l[j] + u[j]))
-            emit(acc, -l[j] * u[j], "<=", f"box[{i}][{j}]")
+        hub = coord[layout.layer_slice(i)]
+        family(f"box[{i}]", hub, np.stack([hub, np.zeros_like(hub)], axis=1),
+               np.stack([np.ones(hub.size), -(l + u)], axis=1), -l * u, "<=")
 
     c = net.weights[-1][predicted, :] - net.weights[-1][target, :]
     c0 = float(net.biases[-1][predicted] - net.biases[-1][target])
-    obj = _SymAccum(dim)
-    for j in range(layout.sizes[H]):
-        obj.add(0, layout.index(H, j), c[j])
+    *terms, objective = _hub_terms(
+        rows + [(coord[:1], coord[None, layout.layer_slice(H)], c[None, :])],
+        layout.dim,
+    )
     return SdpProblem(
-        blocks=(Block("psd", dim),),
-        objective={0: obj.matrix()},
+        blocks=(Block("psd", layout.dim),),
+        objective={0: objective},
         obj_offset=c0,
-        constraints=constraints,
+        constraints=[Constraint({0: t}, *head) for t, head in zip(terms, heads)],
         layout=layout,
     )
 

@@ -194,7 +194,9 @@ class _CompiledBlock:
         self.chunks = chunks  # psd: (ids, rows (k, r), A[rows, :] (k, r, d))
         if kind == "psd":
             # Avec on its nonzero columns c = a*d + b, each read off V_j[b, a]
-            used = np.unique(Avec.indices)
+            # distinct columns; np.unique would import numpy.ma
+            used = np.sort(Avec.indices)
+            used = used[np.diff(used, prepend=-1) != 0]
             cols = np.searchsorted(used, Avec.indices)
             self.Aused = _Csr(Avec.indptr, cols, Avec.data,
                               (Avec.shape[0], used.size))
@@ -353,14 +355,6 @@ def _max_coefficient(prob: SdpProblem, compiled) -> float:
     return best
 
 
-def _apply_A(compiled, xblocks) -> np.ndarray:
-    m = compiled[0].Avec.shape[0] if compiled else 0
-    out = np.zeros(m)
-    for cb, xb in zip(compiled, xblocks):
-        out += _matvec(cb.Avec, xb.ravel())
-    return out
-
-
 def _apply_AT(cb: _CompiledBlock, y: np.ndarray):
     if cb.kind == "psd":
         Aty = _matvec(cb.AvecT, y).reshape(cb.dim, cb.dim)
@@ -404,7 +398,7 @@ def _residual_triplet(compiled, bvec, dscale, xblocks, y, rd_blocks):
     m = bvec.size
     pres = 0.0
     if m:
-        ax = _apply_A(compiled, xblocks)
+        ax = _add_traces(np.zeros(m), compiled, xblocks)
         pres = float(np.max(np.abs(ax - bvec) / (1.0 + np.abs(bvec))))
     dual_sq = sum(float((rd**2).sum()) for rd in rd_blocks)
     dres = float(np.sqrt(dual_sq) / dscale)

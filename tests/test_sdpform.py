@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import box_trace_cap, boxed, coo, make_net, sample_box
-from sdpverify import sdpform
 from sdpverify.analysis import trace_bounds
 from sdpverify.network import Network, activations, predict
 from sdpverify.sdpform import (
@@ -133,6 +132,84 @@ def test_builder_is_deterministic(tiny_net):
     assert np.array_equal(a.rhs_vector(), b.rhs_vector())
 
 
+def _entrywise_rows(net, bounds, target, variant):
+    """(label, sense, rhs, entries) per row, written weight by weight from
+    the formulas: an entry (p, q, c) adds c P[p, q] to the row."""
+    off = np.cumsum([1] + list(net.layer_sizes)).tolist()  # layer i starts at off[i]
+    rows = [("unit", "=", 1.0, [(0, 0, 1.0)])]
+    for i, (W, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
+        out, ins = off[i + 1], off[i]
+
+        def lin(j, s):
+            return [(0, out + j, 1.0)] + [(0, ins + k, s * W[j, k]) for k in range(W.shape[1])]
+
+        def comp(j):
+            return ([(out + j, out + j, 1.0)] + [(ins + k, out + j, -W[j, k])
+                    for k in range(W.shape[1])] + [(0, out + j, -b[j])])
+
+        if variant.name == "leaky":
+            rows += [(f"relu-leak[{i}][{j}]", ">=", variant.alpha * b[j],
+                      lin(j, -variant.alpha)) for j in range(len(b))]
+        else:
+            rows += [(f"relu-pos[{i}][{j}]", ">=", 0.0, [(0, out + j, 1.0)])
+                     for j in range(len(b))]
+        rows += [(f"relu-aff[{i}][{j}]", ">=", b[j], lin(j, -1.0)) for j in range(len(b))]
+        comps = {"eps": [("relu-comp-ub", "<=", variant.eps),
+                         ("relu-comp-lb", ">=", -variant.eps)],
+                 "leaky": [("relu-comp-ub", "<=", 0.0)],
+                 "problem-a": []}.get(variant.name, [("relu-comp", "=", 0.0)])
+        for name, sense, rhs in comps:
+            rows += [(f"{name}[{i}][{j}]", sense, rhs, comp(j)) for j in range(len(b))]
+    for i in [0] if variant.name == "bremove" else range(bounds.num_layers):
+        l, u = bounds.boxes[i]
+        rows += [(f"box[{i}][{j}]", "<=", -l[j] * u[j],
+                  [(off[i] + j, off[i] + j, 1.0), (0, off[i] + j, -(l[j] + u[j]))])
+                 for j in range(len(l))]
+    s = predict(net, bounds.center)
+    c = net.weights[-1][s] - net.weights[-1][target]
+    return rows, [(0, off[-2] + j, c[j]) for j in range(len(c))]
+
+
+def _entrywise_coo(entries, dim):
+    """Nonzero weights kept, off-diagonal ones halved into both slots."""
+    rows, cols, vals = [], [], []
+    for p, q, c in entries:
+        if c != 0.0:
+            slots = [(p, q, c)] if p == q else [(p, q, c / 2.0), (q, p, c / 2.0)]
+            for r, k, v in slots:
+                rows.append(r)
+                cols.append(k)
+                vals.append(v)
+    return Coo.of(rows, cols, vals, (dim, dim))
+
+
+def test_relaxation_matches_an_entrywise_reference(tiny_net):
+    """The vectorized builder stores exactly the terms, rhs (-0.0 included),
+    senses and labels of a builder that adds one weight at a time, on zero
+    biases, eps = 0, the [0, 0] boxes of unpruned dead neurons and a deep
+    pruned net."""
+    from sdpverify.cli import _competitors, prepare_instance, random_instance
+
+    cases = [(tiny_net, boxed(tiny_net, [1.0], 0.5), 1)]
+    for depth, prune in [(4, False), (12, True)]:
+        prep = prepare_instance(*random_instance(depth, 8, seed=0), 0.1, prune=prune)
+        cases.append((prep.net, prep.bounds, _competitors(prep, None)[0]))
+    variants = [Variant.parse(n) for n in VARIANT_NAMES] + [Variant.epsilon(0.0)]
+    for (net, bounds, target), variant in itertools.product(cases, variants):
+        prob = build_relaxation(net, bounds, target, variant)
+        rows, objective = _entrywise_rows(net, bounds, target, variant)
+        dim = prob.blocks[0].dim
+        assert [(c.label, c.sense) for c in prob.constraints] == [r[:2] for r in rows]
+        pairs = [(prob.objective[0], _entrywise_coo(objective, dim))]
+        for c, (_, _, rhs, entries) in zip(prob.constraints, rows):
+            assert np.float64(c.rhs).tobytes() == np.float64(rhs).tobytes(), c.label
+            pairs.append((c.terms[0], _entrywise_coo(entries, dim)))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            for x, y in zip(got[:3], want[:3]):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def test_layout_indexing():
     rng = np.random.default_rng(20)
     net = make_net(rng, [2, 3, 2, 2])
@@ -141,7 +218,7 @@ def test_layout_indexing():
     prob = build_relaxation(net, bounds, target, Variant.base())
     layout = prob.layout
     assert layout.dim == 1 + 2 + 3 + 2
-    assert layout.index(0, 0) == 1
+    assert layout.offsets[0] == 1
     sl = layout.layer_slice(1)
     assert sl.stop - sl.start == 3
     assert prob.blocks[0].dim == layout.dim
@@ -548,11 +625,9 @@ def _term_path_problems(monkeypatch):
     oracle.exact_gamma(prep.net, prep.bounds, _competitors(prep, None)[0])
     monkeypatch.setattr(solver, "solve", real)
 
-    acc = sdpform._SymAccum(3)
-    for p, q, c in [(0, 1, 0.5), (2, 2, 0.1), (1, 0, -0.5), (2, 2, 0.2),
-                    (1, 1, 1.0), (2, 2, 0.3), (1, 1, -1.0)]:
-        acc.add(p, q, c)
-    out.append(SdpProblem((Block("psd", 3),), {0: acc.matrix()}, 0.0, []))
+    cancel = Coo.of([0, 1, 2, 1, 0, 2, 1, 2, 1], [1, 0, 2, 0, 1, 2, 1, 2, 1],
+                    [0.25, 0.25, 0.1, -0.25, -0.25, 0.2, 1.0, 0.3, -1.0], (3, 3))
+    out.append(SdpProblem((Block("psd", 3),), {0: cancel}, 0.0, []))
     return out
 
 
@@ -570,8 +645,37 @@ def test_coo_terms_match_the_scipy_path_bit_for_bit(monkeypatch):
                           [b.objective] + [c.terms for c in b.constraints]):
             assert ta.keys() == tb.keys()
             for k in ta:
-                for x, y in zip(ta[k][:3], tb[k][:3]):
-                    assert np.array_equal(x, y)
+                # relaxation rows bypass Coo.of, so compare them to scipy too
+                for x, y, z in zip(ta[k][:3], tb[k][:3], _scipy_of(*ta[k])):
+                    assert np.array_equal(x, y) and np.array_equal(x, z)
                 assert ta[k].nnz == tb[k].nnz
     zeros = new[-1].objective[0]
     assert zeros.nnz == 4 and (zeros.data == 0.0).sum() == 3
+
+
+def _hubs(mat: Coo) -> set:
+    """Every r whose row and column hold all nonzeros of `mat`."""
+    row, col = mat.row[mat.data != 0], mat.col[mat.data != 0]
+    return {int(r) for r in (row[:1].tolist() + col[:1].tolist())
+            if ((row == r) | (col == r)).all()}
+
+
+def test_every_relaxation_row_is_a_hub_row(tiny_net):
+    """Every constraint and objective of every variant is sym(e_r g^T):
+    its nonzeros lie in row r and column r, unscaled and scaled alike; r
+    is 0 for all but the complementarity and box rows."""
+    from sdpverify.cli import _competitors, prepare_instance, random_instance
+
+    prep = prepare_instance(*random_instance(12, 8, seed=0), 0.1)
+    cases = [(tiny_net, boxed(tiny_net, [1.0], 0.5), 1),
+             (prep.net, prep.bounds, _competitors(prep, None)[0])]
+    for net, bounds, target in cases:
+        for name in VARIANT_NAMES:
+            prob = build_relaxation(net, bounds, target, Variant.parse(name))
+            for p in (prob, apply_dscale(prob, bounds)):
+                assert 0 in _hubs(p.objective[0])
+                for c in p.constraints:
+                    hubs = _hubs(c.terms[0])
+                    assert hubs, c.label
+                    own = c.label.startswith(("relu-comp", "box"))
+                    assert (0 not in hubs) == own, c.label

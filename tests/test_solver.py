@@ -454,18 +454,42 @@ assert np.array_equal(scipy.linalg.cholesky(a, lower=True),
 """
 
 
+def _run_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_loads_kernels_without_scipy_packages():
     """In a fresh interpreter the solver imports neither scipy.linalg nor
     scipy.sparse, and leaves both importable as usual afterwards; a
     missing compiled module is an ImportError that names it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(_FRESH_IMPORT)
     with pytest.raises(ImportError, match="linalg/_missing"):
         solver._load_scipy_extension("linalg", "_missing")
+
+
+_FIRST_SOLVES = """
+import sys
+from sdpverify import cli, oracle
+net, center = cli.random_instance(2, 8, seed=0)
+cli.run_verify(net, center, 0.1, cli.Variant.base())
+cli.run_sweep(cli.SweepSpec(depths=[2], seeds=[0], variants=["base"]))
+prep = cli.prepare_instance(net, center, 0.1)
+oracle.exact_gamma(prep.net, prep.bounds, cli._competitors(prep, None)[0])
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_first_solves_leave_numpy_ma_unimported():
+    """A verify, a sweep cell and an exact oracle in a fresh interpreter
+    never import numpy.ma, which a bare np.unique would (10-20 ms of the
+    first solve of every process)."""
+    _run_fresh(_FIRST_SOLVES)
 
 
 def test_diagonal_steps_merge_into_one_pass():
