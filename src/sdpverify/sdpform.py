@@ -49,6 +49,7 @@ __all__ = [
     "VariableLayout",
     "Variant",
     "VARIANT_NAMES",
+    "check_instance",
     "build_relaxation",
     "apply_dscale",
     "unscale_psd_block",
@@ -306,6 +307,26 @@ def _hub_terms(rows, dim: int) -> list:
             for a, b in zip(ends, ends[1:])]
 
 
+def check_instance(net: Network, bounds: LayerBounds, target: int) -> int:
+    """Check that `bounds` box every layer of `net` and that `target` is a
+    label other than the one `net` predicts at the box center; return the
+    predicted label."""
+    if bounds.num_layers != net.num_hidden + 1:
+        raise ValueError(
+            f"bounds cover {bounds.num_layers - 1} hidden layers, "
+            f"net has {net.num_hidden}"
+        )
+    for i, n in enumerate(net.layer_sizes):
+        if bounds.lower(i).shape != (n,):
+            raise ValueError(f"bounds at layer {i} do not match network width")
+    if not 0 <= target < net.output_dim:
+        raise ValueError(f"target {target} out of range for {net.output_dim} labels")
+    predicted = predict(net, bounds.center)
+    if target == predicted:
+        raise ValueError(f"target {target} equals the predicted label")
+    return predicted
+
+
 def build_relaxation(
     net: Network, bounds: LayerBounds, target: int, variant: Variant
 ) -> SdpProblem:
@@ -317,19 +338,7 @@ def build_relaxation(
     predicts at the box center.
     """
     H = net.num_hidden
-    if bounds.num_layers != H + 1:
-        raise ValueError(
-            f"bounds cover {bounds.num_layers - 1} hidden layers, net has {H}"
-        )
-    for i in range(H + 1):
-        if bounds.lower(i).shape[0] != net.layer_sizes[i]:
-            raise ValueError(f"bounds at layer {i} do not match network width")
-    if not 0 <= target < net.output_dim:
-        raise ValueError(f"target {target} out of range for {net.output_dim} labels")
-    predicted = predict(net, bounds.center)
-    if target == predicted:
-        raise ValueError(f"target {target} equals the predicted label")
-
+    predicted = check_instance(net, bounds, target)
     layout = VariableLayout(net.layer_sizes)
     coord = np.arange(layout.dim)
     # (hub, cols, coefs) per family of rows, (rhs, sense, label) per row
