@@ -91,9 +91,9 @@ def oracle_lp():
     seen = []
     real = solver.solve
 
-    def record(prob, config=None, trace=None):
+    def record(prob, config=None):
         seen.append((prob, config))
-        return real(prob, config, trace)
+        return real(prob, config)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "solve", record)

@@ -59,8 +59,8 @@ def main() -> None:
     real = api.solver.solve
     lines = []
 
-    def recording(prob, config=None, trace=None):
-        sol = real(prob, config, trace)
+    def recording(prob, config=None):
+        sol = real(prob, config)
         m, nnz = _problem_size(prob)
         lines.append(f"{sol.status} {sol.iterations} {digest(sol)} {m} {nnz}")
         return sol

@@ -68,6 +68,8 @@ def input_box(center: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("input center must be finite")
     if not (rho > 0.0):
         raise ValueError(f"rho must be positive, got {rho}")
+    if not np.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
     return center - rho, center + rho
 
 

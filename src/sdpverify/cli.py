@@ -10,7 +10,7 @@ so scripts can branch on them: 0 Robust, 1 Undetermined, 2 SolverFailed,
 3 usage error.
 
 Set the environment variable IPV_LOG to `1` (stderr) or to a file path
-to capture one solver trace line per interior-point iteration.
+to print each margin and radius solve's iterations when the solve returns.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class UsageError(ValueError):
     """Bad invocation; maps to exit code 3."""
 
 
-def random_instance(depth, width, input_dim=2, output_dim=2, seed=0):
-    """Deterministic fixture: `depth` affine layers of `width` neurons.
+def random_instance(depth, width, seed=0):
+    """Deterministic fixture: `depth` affine layers, `width` wide, 2 in, 2 out.
 
     Weights are normal with 1/sqrt(fan-in) scale, biases uniform in
     [-0.1, 0.1].  Every hidden layer draws from its own stream keyed by
@@ -103,17 +103,16 @@ def random_instance(depth, width, input_dim=2, output_dim=2, seed=0):
         raise ValueError("depth must be at least 2 affine layers")
     if width < 1:
         raise ValueError("width must be at least 1")
-    sizes = [input_dim] + [width] * (depth - 1) + [output_dim]
+    sizes = [2] + [width] * (depth - 1) + [2]
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         if i == depth - 1:
-            rng = np.random.default_rng([seed, 7, width, input_dim, output_dim])
+            rng = np.random.default_rng([seed, 7, width, 2, 2])
         else:
-            rng = np.random.default_rng([seed, 101 + i, width, input_dim])
+            rng = np.random.default_rng([seed, 101 + i, width, 2])
         weights.append(rng.normal(size=(fan_out, fan_in)) / np.sqrt(fan_in))
         biases.append(rng.uniform(-0.1, 0.1, size=fan_out))
-    center_rng = np.random.default_rng([seed, 3, input_dim])
-    center = 0.5 * center_rng.normal(size=input_dim)
+    center = 0.5 * np.random.default_rng([seed, 3, 2]).normal(size=2)
     return Network(weights=weights, biases=biases), center
 
 
@@ -181,29 +180,44 @@ def _relaxation(prep, target, variant, dscale=False):
     return prob, to_standard_form(prob)
 
 
-def _margin(prob, std, gap_tol, trace):
+def _log(sol):
+    """Print `sol.history` as IPV_LOG lines: `1`/`true`/`yes`/`stderr` to
+    stderr, any other non-empty value appended to that file."""
+    dest = os.environ.get("IPV_LOG", "").strip()
+    if not dest:
+        return
+    text = "".join("iter=%d mu=%.6e pres=%.6e dres=%.6e gap=%.6e\n" % (k, *row)
+                   for k, row in enumerate(sol.history))
+    if dest.lower() in ("1", "true", "yes", "stderr"):
+        sys.stderr.write(text)
+    else:
+        with open(dest, "a") as fh:
+            fh.write(text)
+
+
+def _margin(prob, std, gap_tol):
     """Solve the margin SDP; returns `(gamma, sol)`."""
-    sol = _solver.solve(std, _config(gap_tol), trace)
+    sol = _solver.solve(std, _config(gap_tol))
+    _log(sol)
     return sol.primal_obj + prob.obj_offset, sol
 
 
-def _radius(std, gap_tol, trace):
+def _radius(std, gap_tol):
     """Solve the inscribed-ball SDP of `std`; returns `(lambda_star, sol)`."""
-    sol = _solver.solve(
-        build_strict_feasibility(std), _config(gap_tol, default=1e-8), trace
-    )
+    sol = _solver.solve(build_strict_feasibility(std), _config(gap_tol, default=1e-8))
+    _log(sol)
     return strict_feasibility_value(sol), sol
 
 
 def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
-               wscale=False, prune=True, gap_tol=None, trace=None):
+               wscale=False, prune=True, gap_tol=None):
     """Solve the relaxation for each competitor label and fold a verdict."""
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     results = []
     for t in _competitors(prep, targets):
         prob, std = _relaxation(prep, t, variant, dscale)
         t0 = time.perf_counter()
-        gamma, sol = _margin(prob, std, gap_tol, trace)
+        gamma, sol = _margin(prob, std, gap_tol)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         X = unscale_psd_block(std, sol.xblocks[0])
         results.append(
@@ -231,7 +245,7 @@ def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
 
 
 def run_diagnose(net, center, rho, variant, *, dscale=False, wscale=False,
-                 prune=True, gap_tol=None, trace=None):
+                 prune=True, gap_tol=None):
     """Measure the largest ball inscribed in the variant's feasible set.
 
     The verification objective is irrelevant here, so any competitor
@@ -240,7 +254,7 @@ def run_diagnose(net, center, rho, variant, *, dscale=False, wscale=False,
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     target = _competitors(prep, None)[0]
     _, std = _relaxation(prep, target, variant, dscale)
-    lambda_star, sol = _radius(std, gap_tol, trace)
+    lambda_star, sol = _radius(std, gap_tol)
     center = np.asarray(center, dtype=float)
     return BoundReport(
         variant=variant.name,
@@ -274,7 +288,7 @@ class SweepSpec:
             Variant.parse(name)
 
 
-def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
+def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
     """One row per (depth, seed, variant): ball radius plus margin solve.
 
     Each (depth, seed) cell draws its fixture from `random_instance` and
@@ -298,9 +312,9 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
                 t0 = clock()
                 prob, std = _relaxation(prep, target, Variant.parse(name))
                 t1 = clock()
-                lambda_star, radius = _radius(std, None, trace)
+                lambda_star, radius = _radius(std, None)
                 t2 = clock()
-                gamma, sol = _margin(prob, std, None, trace)
+                gamma, sol = _margin(prob, std, None)
                 t3 = clock()
                 rows.append(
                     SweepRow(
@@ -325,17 +339,17 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter, trace=None):
     return rows
 
 
-def run_compare(net, center, rho, *, targets=None, variants=VARIANT_NAMES,
-                eps=0.01, alpha=0.01, gap_tol=None, trace=None):
+def run_compare(net, center, rho, *, targets=None, eps=0.01, alpha=0.01,
+                gap_tol=None):
     """Exact margin next to every variant's relaxed margin, per target."""
     prep = prepare_instance(net, center, rho, prune=True)
     out = {"predicted": prep.predicted, "rho": float(rho), "targets": []}
     for t in _competitors(prep, targets):
         gamma_star = exact_gamma(prep.net, prep.bounds, t)
         entry = {"target": t, "gamma_star": gamma_star, "variants": {}}
-        for name in variants:
+        for name in VARIANT_NAMES:
             variant = Variant.parse(name, eps=eps, alpha=alpha)
-            gamma, sol = _margin(*_relaxation(prep, t, variant), gap_tol, trace)
+            gamma, sol = _margin(*_relaxation(prep, t, variant), gap_tol)
             if sol.status == _solver.OPTIMAL and gamma > gamma_star + 1e-6:
                 raise RuntimeError(
                     f"relaxed margin {gamma} exceeds exact margin {gamma_star} "
@@ -350,15 +364,14 @@ def run_compare(net, center, rho, *, targets=None, variants=VARIANT_NAMES,
     return out
 
 
-def generate_fixtures(out_dir, depths, seeds, width=8, input_dim=2,
-                      output_dim=2):
+def generate_fixtures(out_dir, depths, seeds, width=8):
     """Write deterministic fixture networks plus a manifest describing them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for depth in depths:
         for seed in seeds:
-            net, center = random_instance(depth, width, input_dim, output_dim, seed)
+            net, center = random_instance(depth, width, seed)
             name = f"net_L{depth}_w{width}_s{seed}.json"
             save(net, out / name)
             entries.append(
@@ -370,8 +383,8 @@ def generate_fixtures(out_dir, depths, seeds, width=8, input_dim=2,
                 }
             )
     manifest = {
-        "input_dim": int(input_dim),
-        "output_dim": int(output_dim),
+        "input_dim": 2,
+        "output_dim": 2,
         "width": int(width),
         "entries": entries,
     }
@@ -528,16 +541,6 @@ def build_parser():
     return parser
 
 
-def _open_trace():
-    value = os.environ.get("IPV_LOG", "").strip()
-    if not value:
-        return None, None
-    if value.lower() in ("1", "true", "yes", "stderr"):
-        return sys.stderr, None
-    fh = open(value, "a")
-    return fh, fh
-
-
 def _emit(text, out):
     if not text.endswith("\n"):
         text += "\n"
@@ -554,7 +557,7 @@ def _seeds_from(args):
     return seeds
 
 
-def _dispatch(args, trace):
+def _dispatch(args):
     if args.command == "verify":
         net, center = _load_net_and_center(args.net, args.input)
         variant = Variant.parse(args.variant, eps=args.eps, alpha=args.alpha)
@@ -562,7 +565,7 @@ def _dispatch(args, trace):
         report = run_verify(
             net, center, args.rho, variant,
             targets=targets, dscale=args.dscale, wscale=args.wscale,
-            prune=not args.no_prune, gap_tol=args.gap_tol, trace=trace,
+            prune=not args.no_prune, gap_tol=args.gap_tol,
         )
         if args.format == "json":
             _emit(report.to_json(), args.out)
@@ -579,7 +582,7 @@ def _dispatch(args, trace):
         report = run_diagnose(
             net, center, args.rho, variant,
             dscale=args.dscale, wscale=args.wscale,
-            prune=not args.no_prune, gap_tol=args.gap_tol, trace=trace,
+            prune=not args.no_prune, gap_tol=args.gap_tol,
         )
         _emit(report.to_json(), args.out)
         return 0 if report.status == _solver.OPTIMAL else 2
@@ -592,7 +595,7 @@ def _dispatch(args, trace):
             rho=args.rho,
             variants=[v.strip() for v in args.variants.split(",") if v.strip()],
         )
-        _emit(format_sweep_csv(run_sweep(spec, trace=trace)), args.out)
+        _emit(format_sweep_csv(run_sweep(spec)), args.out)
         return 0
 
     if args.command == "compare":
@@ -601,7 +604,7 @@ def _dispatch(args, trace):
         result = run_compare(
             net, center, args.rho,
             targets=targets, eps=args.eps, alpha=args.alpha,
-            gap_tol=args.gap_tol, trace=trace,
+            gap_tol=args.gap_tol,
         )
         if args.format == "json":
             _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
@@ -626,24 +629,14 @@ def _dispatch(args, trace):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    trace, closer = None, None
     try:
-        try:
-            args = parser.parse_args(argv)
-            trace, closer = _open_trace()
-            return _dispatch(args, trace)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if closer is not None:
-            closer.close()
+        return _dispatch(parser.parse_args(argv))
+    except (ValueError, OSError) as exc:  # UsageError and JSON errors too
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

@@ -60,6 +60,8 @@ adding the sum once rounds differently, which on the benchmark's request
 pools changes every final iterate and some iteration counts and statuses.
 
 Everything is deterministic: same problem and config, same iterates.
+A solve does no I/O: it records each iteration's mu, residuals and gap
+in the solution's `history`, which the CLI prints when IPV_LOG is set.
 """
 
 from __future__ import annotations
@@ -157,7 +159,10 @@ class SolverConfig:
 
 @dataclass
 class SdpSolution:
-    """Final iterate of a solve run, whatever the status."""
+    """Final iterate of a solve run, whatever the status.
+
+    `history[k]` is `(mu, pres, dres, gap)` at the start of iteration k.
+    """
 
     status: str
     xblocks: list
@@ -169,6 +174,7 @@ class SdpSolution:
     primal_res: float
     dual_res: float
     iterations: int
+    history: list
 
 
 class _Csr(NamedTuple):
@@ -343,15 +349,15 @@ def _matvecs(A, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_coefficient(prob: SdpProblem, compiled) -> float:
+def _max_coefficient(compiled, bvec: np.ndarray) -> float:
+    """Largest magnitude in C, A and b; a non-finite entry is a ValueError."""
     best = 0.0
-    for cb in compiled:
-        if cb.nnz:
-            best = max(best, float(np.abs(cb.Avec.data).max()))
-        if np.size(cb.C):
-            best = max(best, float(np.abs(cb.C).max()))
-    if prob.num_constraints:
-        best = max(best, float(np.abs(prob.rhs_vector()).max()))
+    for name, arrays in (("C", [cb.C for cb in compiled]),
+                         ("A", [cb.Avec.data for cb in compiled]), ("b", [bvec])):
+        tops = [float(np.abs(a).max()) for a in arrays if np.size(a)]
+        if not np.isfinite(tops).all():
+            raise ValueError(f"problem data {name} is not finite")
+        best = max([best, *tops])
     return best
 
 
@@ -550,16 +556,14 @@ def _max_step(compiled, cones, dxblocks) -> float:
     return step
 
 
-def solve(
-    prob: SdpProblem, config: SolverConfig | None = None, trace=None
-) -> SdpSolution:
+def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Run the interior-point iteration on a standard-form problem.
 
     Returns the final iterate with one of the statuses Optimal,
     MaxIterations, NumericalFailure, or Unbounded; a line search stalled in
     both cones for three consecutive iterations also ends the run with
-    MaxIterations.  `trace`, when given, receives one text line per
-    iteration: iter=.. mu=.. pres=.. dres=.. gap=..
+    MaxIterations.  Its `history` holds one (mu, pres, dres, gap) row per
+    iteration started.  A non-finite entry in C, A or b is a ValueError.
     """
     if any(c.sense != "=" for c in prob.constraints):
         raise ValueError("solver expects standard form (equalities only)")
@@ -578,7 +582,7 @@ def solve(
         free_cuts = np.cumsum([compiled[bi].dim for bi in free])[:-1]
 
     dscale = _dual_scale(compiled)
-    mu0 = max(1.0, 100.0 * _max_coefficient(prob, compiled))
+    mu0 = max(1.0, 100.0 * _max_coefficient(compiled, bvec))
 
     def start(cb):
         # mu_0 I on the cones; a free block and its dual slack start at
@@ -590,6 +594,7 @@ def solve(
     xblocks = [start(cb) for cb in compiled]
     sblocks = [start(cb) for cb in compiled]
     y = np.zeros(m)
+    history = []
 
     def snapshot(status: str, k: int) -> SdpSolution:
         pres, dres, gap, pobj, dobj = _residual_triplet(
@@ -606,6 +611,7 @@ def solve(
             primal_res=pres,
             dual_res=dres,
             iterations=k,
+            history=history,
         )
 
     # A run that breaks down late should hand back its best iterate, not
@@ -637,11 +643,7 @@ def solve(
                 sum(float((xb * sb).sum()) for xb, sb in zip(xblocks, sblocks))
                 / n_cone
             )
-            if trace is not None:
-                trace.write(
-                    f"iter={k} mu={mu:.6e} pres={pres:.6e} "
-                    f"dres={dres:.6e} gap={gap:.6e}\n"
-                )
+            history.append((mu, pres, dres, gap))
             if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
                 return snapshot(OPTIMAL, k)
             if pobj < _UNBOUNDED_OBJ:

@@ -19,6 +19,8 @@ def test_input_box_rejects_bad_arguments():
         input_box(np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
         input_box(np.array([0.0]), -0.1)
+    with pytest.raises(ValueError, match="finite"):
+        input_box(np.array([0.0]), np.inf)
     with pytest.raises(ValueError):
         input_box(np.array([[0.0]]), 0.1)
     with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Command-line surface: pipelines, exit codes, CSV shapes, fixtures."""
 
 import filecmp
-import io
 import itertools
 import json
 import os
@@ -195,21 +194,43 @@ def test_verify_target_flag(tmp_path, capsys):
 
 
 def test_solver_trace_to_file(tmp_path, monkeypatch):
+    """IPV_LOG prints each solve's `history`, one formatted row per line."""
     log = tmp_path / "trace.log"
     monkeypatch.setenv("IPV_LOG", str(log))
+    sols = []
+    real = cli._solver.solve
+
+    def record(prob, config=None):
+        sols.append(real(prob, config))
+        return sols[-1]
+
+    monkeypatch.setattr(cli._solver, "solve", record)
     path = _save(_tiny(), tmp_path)
     assert main(["verify", "--net", path, "--input", "1.0", "--rho", "0.5"]) == 0
-    lines = log.read_text().splitlines()
-    assert len(lines) >= 2
-    for line in lines:
-        assert TRACE_LINE.match(line), line
+    [sol] = sols
+    assert sol.status == "Optimal"
+    assert len(sol.history) == sol.iterations + 1
+    assert log.read_text().splitlines() == [
+        f"iter={k} mu={mu:.6e} pres={pres:.6e} dres={dres:.6e} gap={gap:.6e}"
+        for k, (mu, pres, dres, gap) in enumerate(sol.history)
+    ]
+
+
+def test_solver_trace_to_missing_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IPV_LOG", str(tmp_path / "missing" / "trace.log"))
+    path = _save(_tiny(), tmp_path)
+    assert main(["verify", "--net", path, "--input", "1.0", "--rho", "0.5"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solver_trace_to_stderr(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("IPV_LOG", "1")
     path = _save(_tiny(), tmp_path)
     assert main(["verify", "--net", path, "--input", "1.0", "--rho", "0.5"]) == 0
-    assert "iter=0 mu=" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("iter=0 mu=")
+    for line in lines:
+        assert TRACE_LINE.match(line), line
 
 
 def test_sweep_row_census():
@@ -222,14 +243,15 @@ def test_sweep_row_census():
     assert all(r.status == "Optimal" for r in rows)
 
 
-def test_sweep_rows_match_verify_and_diagnose():
+def test_sweep_rows_match_verify_and_diagnose(tmp_path, monkeypatch):
     """One pipeline, one answer: a sweep row carries the exact gamma of
     `run_verify` and the exact lambda* of `run_diagnose` on its cell, and
     its `solution` is that margin solve."""
     variants = ["base", "bremove", "problem-a"]
-    trace = io.StringIO()
-    rows = run_sweep(SweepSpec(depths=[4], seeds=[0], width=8, variants=variants),
-                     trace=trace)
+    log = tmp_path / "trace.log"
+    monkeypatch.setenv("IPV_LOG", str(log))
+    rows = run_sweep(SweepSpec(depths=[4], seeds=[0], width=8, variants=variants))
+    monkeypatch.delenv("IPV_LOG")
     assert [r.variant for r in rows] == variants
     net, center = random_instance(4, 8, seed=0)
     for row in rows:
@@ -244,7 +266,7 @@ def test_sweep_rows_match_verify_and_diagnose():
         diag = run_diagnose(net, center, 0.1, variant)
         assert row.lambda_star == diag.lambda_star
         assert row.radius_iterations == diag.iterations
-    starts = [line for line in trace.getvalue().splitlines()
+    starts = [line for line in log.read_text().splitlines()
               if line.startswith("iter=0 ")]
     assert len(starts) == 2 * len(rows)
 
@@ -366,6 +388,22 @@ def test_manifest_drives_verify(tmp_path, capsys):
     assert main(["verify", "--net", manifest, "--input", "9", "--rho", "0.1"]) == 3
     plain = str(tmp_path / "net_L2_w3_s0.json")
     assert main(["verify", "--net", plain, "--input", "0", "--rho", "0.1"]) == 3
+
+
+@pytest.mark.parametrize("rho, message", [
+    ("inf", "rho must be finite, got inf"),
+    ("1e200", "problem data b is not finite"),
+])
+def test_overflowing_rho_is_named(tmp_path, capsys, rho, message):
+    """A box too wide for float arithmetic is exit 3 with its own cause: an
+    infinite rho would make every bound NaN and prune every neuron, and at
+    1e200 two box rows' -l*u overflow to inf."""
+    generate_fixtures(tmp_path, [2], [0])
+    manifest = str(tmp_path / "manifest.json")
+    with np.errstate(over="ignore"):
+        code = main(["verify", "--net", manifest, "--input", "0", "--rho", rho])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("net, given, message", [

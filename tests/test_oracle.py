@@ -81,8 +81,8 @@ def test_oracle_issues_the_pinned_lps(key, monkeypatch):
     solves = []
     real = solver.solve
 
-    def record(prob, config=None, trace=None):
-        sol = real(prob, config, trace)
+    def record(prob, config=None):
+        sol = real(prob, config)
         solves.append([sol.status, sol.iterations, prob.num_constraints])
         return sol
 

@@ -616,9 +616,9 @@ def _term_path_problems(monkeypatch):
 
     real = solver.solve
 
-    def record(prob, config=None, trace=None):
+    def record(prob, config=None):
         out.append(prob)
-        return real(prob, config, trace)
+        return real(prob, config)
 
     monkeypatch.setattr(solver, "solve", record)
     prep = prepare_instance(*random_instance(2, 8, seed=0), 0.1)
