@@ -494,7 +494,7 @@ def _add_output_flags(p, formats=("json", "csv")):
                    help="relative duality-gap tolerance for the solver")
 
 
-def build_parser():
+def _build_parser():
     parser = _Parser(prog="sdpverify",
                      description="Robustness verification of small feed-forward "
                                  "networks by semidefinite relaxation.")
@@ -628,7 +628,7 @@ def _dispatch(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         return _dispatch(parser.parse_args(argv))
     except (ValueError, OSError) as exc:  # UsageError and JSON errors too

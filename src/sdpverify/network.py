@@ -29,7 +29,6 @@ __all__ = [
     "save",
     "forward",
     "predict",
-    "activations",
     "prune_inactive",
     "w_scale",
 ]
@@ -174,18 +173,6 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 def predict(net: Network, x: np.ndarray) -> int:
     """Argmax label; ties break toward the lowest index."""
     return int(np.argmax(forward(net, x)))
-
-
-def activations(net: Network, x: np.ndarray) -> list[np.ndarray]:
-    """Per-layer values (x_0, x_1, ..., x_H) with x_i the post-ReLU output."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    out = [x]
-    for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        x = np.maximum(W @ x + b, 0.0)
-        out.append(x)
-    return out
 
 
 def prune_inactive(net: Network, bounds) -> tuple[Network, PruneReport]:

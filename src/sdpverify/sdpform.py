@@ -56,11 +56,6 @@ __all__ = [
     "to_standard_form",
     "build_strict_feasibility",
     "strict_feasibility_value",
-    "lifted_point",
-    "objective_value",
-    "constraint_violations",
-    "write_sdpa",
-    "read_sdpa",
 ]
 
 
@@ -243,40 +238,6 @@ class SdpProblem:
     def rhs_vector(self) -> np.ndarray:
         return np.array([c.rhs for c in self.constraints])
 
-    def validate(self) -> None:
-        """Shape, sense, and symmetry checks; raises ValueError on the first
-        violation.  The package never calls it; tests run it on built and
-        hand-made problems."""
-        for where, terms in [("objective", self.objective)] + [
-            (c.label or f"constraint {k}", c.terms)
-            for k, c in enumerate(self.constraints)
-        ]:
-            for bidx, mat in terms.items():
-                if not 0 <= bidx < len(self.blocks):
-                    raise ValueError(f"{where}: bad block index {bidx}")
-                blk = self.blocks[bidx]
-                if mat.shape != (blk.dim, blk.dim):
-                    raise ValueError(f"{where}: coefficient shape {mat.shape}")
-                if blk.kind == "psd":
-                    _check_symmetric(mat, where)
-                elif not (mat.row == mat.col).all():
-                    raise ValueError(
-                        f"{where}: off-diagonal entry in {blk.kind} block"
-                    )
-        for k, c in enumerate(self.constraints):
-            if c.sense not in ("=", "<=", ">="):
-                raise ValueError(f"constraint {k}: bad sense {c.sense!r}")
-            if not np.isfinite(c.rhs):
-                raise ValueError(f"constraint {k}: non-finite rhs")
-
-
-def _check_symmetric(mat: Coo, where: str) -> None:
-    a, t = Coo.of(*mat), Coo.of(mat.col, mat.row, mat.data, mat.shape)
-    scale = np.abs(a.data).max() if a.nnz else 1.0
-    if not (np.array_equal(a.row, t.row) and np.array_equal(a.col, t.col)
-            and np.allclose(a.data, t.data, atol=1e-12 * (1.0 + scale))):
-        raise ValueError(f"{where}: coefficient matrix not symmetric")
-
 
 def _hub_terms(rows, dim: int) -> list:
     """One `Coo` per hub row A = sym(e_r g^T), for which tr(A P) = g . P[r].
@@ -335,7 +296,8 @@ def build_relaxation(
     Constraints are emitted layer-major: the unit pin, then per transition
     the relu families (each family over all neurons in order), then the box
     rows the variant keeps.  The target must differ from the label the net
-    predicts at the box center.
+    predicts at the box center, and a box whose l * u overflows is a
+    ValueError.
     """
     H = net.num_hidden
     predicted = check_instance(net, bounds, target)
@@ -374,9 +336,13 @@ def build_relaxation(
 
     for i in [0] if variant.name == "bremove" else range(H + 1):
         l, u = bounds.boxes[i]
+        with np.errstate(over="ignore"):
+            lu = -l * u
+        if not np.isfinite(lu).all():
+            raise ValueError(f"box of layer {i} is too wide: l * u overflows")
         hub = coord[layout.layer_slice(i)]
         family(f"box[{i}]", hub, np.stack([hub, np.zeros_like(hub)], axis=1),
-               np.stack([np.ones(hub.size), -(l + u)], axis=1), -l * u, "<=")
+               np.stack([np.ones(hub.size), -(l + u)], axis=1), lu, "<=")
 
     c = net.weights[-1][predicted, :] - net.weights[-1][target, :]
     c0 = float(net.biases[-1][predicted] - net.biases[-1][target])
@@ -518,114 +484,3 @@ def build_strict_feasibility(prob: SdpProblem) -> SdpProblem:
 def strict_feasibility_value(solution) -> float:
     """lambda* recovered from a solved strict-feasibility problem."""
     return -solution.primal_obj
-
-
-def lifted_point(layout: VariableLayout, acts: list[np.ndarray]) -> np.ndarray:
-    """Rank-one moment matrix of a concrete activation trace."""
-    if tuple(len(a) for a in acts) != layout.sizes:
-        raise ValueError("activation trace does not match layout")
-    v = np.concatenate([[1.0]] + [np.asarray(a, dtype=float) for a in acts])
-    return np.outer(v, v)
-
-
-def _term_value(mat: Coo, xb) -> float:
-    if xb.ndim == 1:
-        return float(mat.data @ xb[mat.row])
-    return float(mat.data @ xb[mat.row, mat.col])
-
-
-def objective_value(prob: SdpProblem, xblocks: list[np.ndarray]) -> float:
-    """tr(C X) + obj_offset for a candidate block solution."""
-    total = prob.obj_offset
-    for bidx, mat in prob.objective.items():
-        total += _term_value(mat, xblocks[bidx])
-    return float(total)
-
-
-def constraint_violations(prob: SdpProblem, xblocks: list[np.ndarray]) -> np.ndarray:
-    """Nonnegative violation of each constraint at a candidate point."""
-    out = np.empty(prob.num_constraints)
-    for k, c in enumerate(prob.constraints):
-        val = sum(_term_value(mat, xblocks[bidx]) for bidx, mat in c.terms.items())
-        resid = val - c.rhs
-        if c.sense == "=":
-            out[k] = abs(resid)
-        elif c.sense == "<=":
-            out[k] = max(0.0, resid)
-        else:
-            out[k] = max(0.0, -resid)
-    return out
-
-
-def write_sdpa(prob: SdpProblem, path: str) -> None:
-    """Serialize a standard-form problem in the sparse SDPA text format.
-
-    Layout: constraint count, block count, block dimensions (diagonal
-    blocks negative), the right-hand side, then one line per upper-triangle
-    entry as `<constraint> <block> <i> <j> <value>` with 1-based indices;
-    constraint 0 holds the objective.  An external solver maximizing
-    tr(F_0 Y) over the file recovers the negated minimum.
-    """
-    if any(c.sense != "=" for c in prob.constraints):
-        raise ValueError("SDPA export needs standard form (equalities only)")
-    if any(b.kind == "free" for b in prob.blocks):
-        raise ValueError("SDPA format cannot express free blocks")
-    lines = [
-        f"{prob.num_constraints}",
-        f"{len(prob.blocks)}",
-        " ".join(
-            str(b.dim if b.kind == "psd" else -b.dim) for b in prob.blocks
-        ),
-        " ".join(_fmt(c.rhs) for c in prob.constraints),
-    ]
-    for cons_no, terms in enumerate(
-        [prob.objective] + [c.terms for c in prob.constraints]
-    ):
-        for bidx in sorted(terms):
-            coo = Coo.of(*terms[bidx])  # sorted by (row, col)
-            for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data):
-                if i <= j and v != 0.0:
-                    lines.append(f"{cons_no} {bidx + 1} {i + 1} {j + 1} {_fmt(v)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def read_sdpa(path: str) -> SdpProblem:
-    """Parse a sparse SDPA file written by write_sdpa (round-trip checks).
-
-    The header is read as one token stream, whatever its line breaks: m,
-    the block count, the block dimensions and m right-hand sides (an empty
-    line when m = 0), then the entries in fives.
-    """
-    with open(path) as fh:
-        toks = [t for ln in fh if ln[:1] not in "*\"" for t in ln.split()]
-    m, nblocks = int(toks[0]), int(toks[1])
-    blocks = tuple(Block("psd" if d > 0 else "diag", abs(d))
-                   for d in map(int, toks[2:2 + nblocks]))
-    rhs = [float(t) for t in toks[2 + nblocks:2 + nblocks + m]]
-    body = toks[2 + nblocks + m:]
-    if len(body) % 5:
-        raise ValueError(f"{path}: entry lines must hold five fields each")
-    entries = [{} for _ in range(m + 1)]  # number 0 is the objective
-    for at in range(0, len(body), 5):
-        k, b, i, j = (int(t) for t in body[at:at + 4])
-        if not (0 <= k <= m and 1 <= b <= nblocks):
-            raise ValueError(f"{path}: entry for constraint {k}, block {b}")
-        rows, cols, vals = entries[k].setdefault(b - 1, ([], [], []))
-        for r, c in [(i, j)] if i == j else [(i, j), (j, i)]:
-            rows.append(r - 1)
-            cols.append(c - 1)
-            vals.append(float(body[at + 4]))
-    terms = [{b: Coo.of(*e, (blocks[b].dim,) * 2) for b, e in by_block.items()}
-             for by_block in entries]
-    return SdpProblem(
-        blocks=blocks,
-        objective=terms[0],
-        obj_offset=0.0,
-        constraints=[Constraint(terms[k + 1], rhs[k], "=", f"row[{k}]")
-                     for k in range(m)],
-    )

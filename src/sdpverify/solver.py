@@ -112,7 +112,6 @@ __all__ = [
     "SolverConfig",
     "SdpSolution",
     "solve",
-    "residuals",
 ]
 
 OPTIMAL = "Optimal"
@@ -414,22 +413,6 @@ def _residual_triplet(compiled, bvec, dscale, xblocks, y, rd_blocks):
     return pres, dres, gap, pobj, dobj
 
 
-def residuals(prob: SdpProblem, xblocks, y, sblocks) -> tuple[float, float, float]:
-    """Scaled primal/dual infeasibility and duality gap at a candidate point.
-
-    primal: max_j |tr(A_j X) - b_j| / (1 + |b_j|)
-    dual:   ||C - S - A^T(y)||_F / (1 + ||C||_F)
-    gap:    |tr(C X) - b^T y| / (1 + |tr(C X)|)
-    """
-    compiled = _compile(prob)
-    y = np.asarray(y, dtype=float)
-    pres, dres, gap, _, _ = _residual_triplet(
-        compiled, prob.rhs_vector(), _dual_scale(compiled), xblocks, y,
-        _dual_residuals(compiled, y, sblocks),
-    )
-    return pres, dres, gap
-
-
 def _potrf(a: np.ndarray, clean: int):
     """Lower Cholesky factor by dpotrf with the flags of scipy's `cholesky`
     (clean=1) or `cho_factor` (clean=0); None if `a` is not positive
@@ -563,7 +546,8 @@ def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     MaxIterations, NumericalFailure, or Unbounded; a line search stalled in
     both cones for three consecutive iterations also ends the run with
     MaxIterations.  Its `history` holds one (mu, pres, dres, gap) row per
-    iteration started.  A non-finite entry in C, A or b is a ValueError.
+    iteration started.  A non-finite entry in C, A or b is a ValueError,
+    and so is data large enough that the start's <X, S> overflows.
     """
     if any(c.sense != "=" for c in prob.constraints):
         raise ValueError("solver expects standard form (equalities only)")
@@ -583,6 +567,9 @@ def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
 
     dscale = _dual_scale(compiled)
     mu0 = max(1.0, 100.0 * _max_coefficient(compiled, bvec))
+    if not np.isfinite(n_cone * mu0 * mu0):
+        raise ValueError(f"problem data too large: the start's <X, S> = n mu_0^2 "
+                         f"overflows at mu_0 = {mu0:.3g}")
 
     def start(cb):
         # mu_0 I on the cones; a free block and its dual slack start at

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import make_net, sample_box
+from helpers import activations, make_net, sample_box
 from sdpverify.bounds import LayerBounds, input_box, propagate
-from sdpverify.network import Network, activations
+from sdpverify.network import Network
 
 
 def test_input_box_basics():

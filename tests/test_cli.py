@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,15 +393,20 @@ def test_manifest_drives_verify(tmp_path, capsys):
 
 @pytest.mark.parametrize("rho, message", [
     ("inf", "rho must be finite, got inf"),
-    ("1e200", "problem data b is not finite"),
+    ("1e200", "box of layer 0 is too wide: l * u overflows"),
+    ("1e150", "problem data too large: the start's <X, S> = n mu_0^2 "
+              "overflows at mu_0 = 1e+302"),
 ])
 def test_overflowing_rho_is_named(tmp_path, capsys, rho, message):
-    """A box too wide for float arithmetic is exit 3 with its own cause: an
-    infinite rho would make every bound NaN and prune every neuron, and at
-    1e200 two box rows' -l*u overflow to inf."""
+    """A box too wide for float arithmetic is exit 3 with its own cause and
+    no numpy warning: an infinite rho would make every bound NaN and prune
+    every neuron, at 1e200 the input box rows' -l*u overflow to inf, and at
+    1e150 the data is finite but the solver's start mu_0 I is not.  Warnings
+    are raised as errors, since pytest catches them before stderr."""
     generate_fixtures(tmp_path, [2], [0])
     manifest = str(tmp_path / "manifest.json")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["verify", "--net", manifest, "--input", "0", "--rho", rho])
     assert code == 3
     assert capsys.readouterr().err == f"error: {message}\n"

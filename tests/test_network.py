@@ -5,13 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import boxed, make_net
+from helpers import activations, boxed, make_net
 from sdpverify.network import (
     EmptyLayerError,
     Network,
     NetworkError,
     ZeroRowError,
-    activations,
     forward,
     load,
     predict,

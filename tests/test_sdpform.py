@@ -6,9 +6,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import box_trace_cap, boxed, coo, make_net, sample_box
+from helpers import (
+    activations,
+    box_trace_cap,
+    boxed,
+    constraint_violations,
+    coo,
+    lifted_point,
+    make_net,
+    objective_value,
+    sample_box,
+    validate,
+)
 from sdpverify.analysis import trace_bounds
-from sdpverify.network import Network, activations, predict
+from sdpverify.network import Network, predict
 from sdpverify.sdpform import (
     VARIANT_NAMES,
     Block,
@@ -19,14 +30,9 @@ from sdpverify.sdpform import (
     apply_dscale,
     build_relaxation,
     build_strict_feasibility,
-    constraint_violations,
-    lifted_point,
-    objective_value,
-    read_sdpa,
     strict_feasibility_value,
     to_standard_form,
     unscale_psd_block,
-    write_sdpa,
 )
 from sdpverify.solver import SolverConfig, solve
 
@@ -65,7 +71,7 @@ def _radius(prob, gap=1e-9):
 def test_base_constraint_census(tiny_net):
     bounds = boxed(tiny_net, [1.0], 0.5)
     prob = build_relaxation(tiny_net, bounds, 1, Variant.base())
-    prob.validate()
+    validate(prob)
     # one relu neuron: unit + pos + aff + comp + box on both moment layers
     assert prob.blocks == (Block("psd", 3),)
     assert prob.num_constraints == 6
@@ -404,7 +410,7 @@ def test_standard_form_slack_accounting():
     prob = SdpProblem(blocks=(Block("psd", 2),), objective={},
                       obj_offset=0.0, constraints=rows)
     std = to_standard_form(prob)
-    std.validate()
+    validate(std)
     assert all(c.sense == "=" for c in std.constraints)
     assert std.num_constraints == 5
     # one slack per inequality, in a diagonal block after the psd one
@@ -501,53 +507,6 @@ def test_dead_neuron_kills_the_interior():
     assert lam <= 1e-7
 
 
-def test_sdpa_round_trip(tmp_path):
-    from helpers import planted_instance
-
-    rng = np.random.default_rng(24)
-    prob, _, _ = planted_instance(rng, (3,), (2,), m=4)
-    path = tmp_path / "inst.dat-s"
-    write_sdpa(prob, path)
-    back = read_sdpa(path)
-    assert back.blocks == prob.blocks
-    assert np.allclose(back.rhs_vector(), prob.rhs_vector(), atol=0)
-    for c0, c1 in zip(prob.constraints, back.constraints):
-        for bidx in c0.terms:
-            assert np.array_equal(c0.terms[bidx].toarray(), c1.terms[bidx].toarray())
-    for bidx in prob.objective:
-        assert np.array_equal(
-            prob.objective[bidx].toarray(), back.objective[bidx].toarray()
-        )
-
-
-def test_sdpa_round_trip_without_constraints(tmp_path):
-    # the right-hand-side line is empty; the first objective entry survives
-    C = np.array([[1.0, 0.5], [0.5, 2.0]])
-    prob = SdpProblem(blocks=(Block("psd", 2),), objective={0: coo(C)},
-                      obj_offset=0.0, constraints=[])
-    path = tmp_path / "empty.dat-s"
-    write_sdpa(prob, path)
-    back = read_sdpa(path)
-    assert back.blocks == prob.blocks and back.num_constraints == 0
-    assert np.array_equal(back.objective[0].toarray(), C)
-
-
-def test_sdpa_reader_rejects_entries_outside_the_problem(tmp_path):
-    # one constraint, one 1x1 block; each entry names a slot that is not there
-    for entry in ("0 0 1 1 5.0", "-1 1 1 1 3.0", "2 1 1 1 2.0", "1 1 2 1 1.0"):
-        path = tmp_path / "bad.dat-s"
-        path.write_text(f"1\n1\n1\n1.0\n1 1 1 1 1.0\n{entry}\n")
-        with pytest.raises(ValueError):
-            read_sdpa(path)
-
-
-def test_sdpa_rejects_free_blocks(tmp_path):
-    prob = _hand_sdp(1, [([[1.0]], 1.0, "tr")])
-    sf = build_strict_feasibility(to_standard_form(prob))
-    with pytest.raises(ValueError):
-        write_sdpa(sf, tmp_path / "free.dat-s")
-
-
 def test_validate_catches_malformed_problems():
     asym = SdpProblem(
         blocks=(Block("psd", 2),),
@@ -559,7 +518,7 @@ def test_validate_catches_malformed_problems():
         ],
     )
     with pytest.raises(ValueError):
-        asym.validate()
+        validate(asym)
     offdiag = SdpProblem(
         blocks=(Block("diag", 2),),
         objective={},
@@ -570,7 +529,7 @@ def test_validate_catches_malformed_problems():
         ],
     )
     with pytest.raises(ValueError):
-        offdiag.validate()
+        validate(offdiag)
     bad_sense = SdpProblem(
         blocks=(Block("psd", 1),),
         objective={},
@@ -578,7 +537,7 @@ def test_validate_catches_malformed_problems():
         constraints=[Constraint({0: coo([[1.0]])}, 0.0, "<", "bad")],
     )
     with pytest.raises(ValueError):
-        bad_sense.validate()
+        validate(bad_sense)
     bad_index = SdpProblem(
         blocks=(Block("psd", 1),),
         objective={},
@@ -586,7 +545,7 @@ def test_validate_catches_malformed_problems():
         constraints=[Constraint({3: coo([[1.0]])}, 0.0, "=", "idx")],
     )
     with pytest.raises(ValueError):
-        bad_index.validate()
+        validate(bad_index)
 
 
 def _scipy_of(row, col, data, shape):

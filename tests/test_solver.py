@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helpers import coo, planted_instance
+from helpers import coo, planted_instance, residuals, validate
 from sdpverify import oracle, solver
 from sdpverify.cli import _competitors, _relaxation, prepare_instance, random_instance
 from sdpverify.sdpform import (
@@ -41,7 +41,6 @@ from sdpverify.solver import (
     _psd_inverse,
     _schur,
     _trtrs,
-    residuals,
     solve,
 )
 
@@ -172,7 +171,7 @@ def test_two_free_blocks_around_a_cone_block():
             Constraint({2: diag(1.0, 1.0)}, 4.0, "=", "sum"),
         ],
     )
-    prob.validate()
+    validate(prob)
     sol = solve(prob, SolverConfig(gap_tol=1e-9, feas_tol=1e-9))
     assert sol.status == "Optimal"
     assert abs(sol.primal_obj - 2.0) <= 1e-7
@@ -182,8 +181,8 @@ def test_two_free_blocks_around_a_cone_block():
     assert np.array_equal(sol.sblocks[2], [0.0, 0.0])
 
 
-def test_overflow_ends_in_numerical_failure():
-    # mu_0 = 1e162 overflows the first Newton right-hand side to inf
+def test_overflowing_start_is_rejected():
+    # finite data, but mu_0 = 1e162 makes the start's <X, S> = 4 mu_0^2 inf
     prob = SdpProblem(
         blocks=(Block("psd", 2), Block("diag", 2)),
         objective={},
@@ -193,9 +192,8 @@ def test_overflow_ends_in_numerical_failure():
             Constraint({1: coo(np.eye(2))}, 1.0, "=", "unit"),
         ],
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve(prob, SolverConfig())
-    assert sol.status == "NumericalFailure"
+    with pytest.raises(ValueError, match="overflows at mu_0 = 1e\\+162"):
+        solve(prob, SolverConfig())
 
 
 def test_rejects_non_standard_and_coneless_problems():
