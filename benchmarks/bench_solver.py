@@ -14,10 +14,11 @@ full `solver.solve`; on the margin form also one step-length call
 `solver._compile`.  It also times one solve and one compile of the first
 linear program that `oracle.exact_gamma` hands the solver on the
 depth-2, width-8, seed-0 fixture (diagonal blocks of 2, 1 and 6 slacks,
-6 constraints).  The layers before the solver are timed on the same
-depth-12 instance: `build_relaxation`, `to_standard_form` of its result
-and `build_strict_feasibility` of that; and one whole `exact_gamma` on
-the depth-2 fixture, which builds and solves every branch pattern's two
+which compile to one diagonal cone of 9; 6 constraints).  The layers
+before the solver are timed on the same depth-12 instance:
+`build_relaxation`, `to_standard_form` of its result and
+`build_strict_feasibility` of that; and one whole `exact_gamma` on the
+depth-2 fixture, which builds and solves every branch pattern's two
 linear programs.  Every timing follows a discarded warm-up so that the
 first LAPACK call is not timed.  Every solve asserts its status and
 iteration count, so a faster run is never a different convergence.
@@ -68,7 +69,7 @@ from sdpverify.sdpform import (  # noqa: E402
 EXPECTED = {"margin": ("Optimal", 32), "radius": ("Optimal", 32)}
 LP_EXPECTED = ("Optimal", 15)
 # exact_gamma on the depth-2 fixture, bit for bit
-GAMMA_EXPECTED = -0.012376198115789574
+GAMMA_EXPECTED = -0.012376198115789546
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +150,7 @@ def test_compile_oracle_lp(benchmark, oracle_lp):
     prob, config = oracle_lp
     compiled = benchmark.pedantic(solver._compile, args=(prob,), rounds=500,
                                   iterations=1, warmup_rounds=5)
-    assert len(compiled) == len(prob.blocks)
+    assert [(cb.kind, cb.dim) for cb in compiled] == [("diag", 9)]
     sol = solver.solve(prob, config)
     assert (sol.status, sol.iterations) == LP_EXPECTED
 

@@ -1,6 +1,7 @@
 """One digest line per solver call of the benchmark's request pools.
 
     python3 benchmarks/solve_digests.py > digests.txt
+    python3 benchmarks/solve_digests.py --compare before.txt after.txt
 
 Runs every request in the three pools of `perfbench/reference.json`
 (verify-deep, sweep-grid, oracle-lp) once, in pool order, through the
@@ -8,17 +9,26 @@ workload classes of `perfbench/workloads.py`, with `sdpverify.solver.solve`
 wrapped to record what each call gets and returns.  Each call prints one
 line:
 
-    <workload> <request key> <status> <iterations> <sha256> <m> <nnz>
+    <workload> <request key> <status> <iterations> <sha256> <m> <nnz> <primal_obj>
 
 where the hash covers the bytes of the final `xblocks`, `y` and `sblocks`,
-and m and nnz are the problem's constraint count and stored constraint
+m and nnz are the problem's constraint count and stored constraint
 nonzeros, counted as `perfbench/tracing.py` counts them for `sdpform.rows`
-and `sdpform.nnz`.  Two checkouts whose outputs `diff` clean made
+and `sdpform.nnz`, and primal_obj is the `repr` of the solve's final
+primal objective.  Two checkouts whose outputs `diff` clean made
 bit-identical solves of problems of the same size.  BLAS
 is pinned to one thread before numpy loads, as in the benchmark, since
 the thread count moves iterates.  A status count and the elapsed seconds
-go to stderr.  The package is imported from this checkout's `src/`;
+go to stderr.  The package is imported from this checkout's `src/`, so
+to digest another checkout, copy this file into its `benchmarks/`;
 nothing under `perfbench/` is changed.
+
+`--compare OLD NEW` reads two such outputs, made in the same pool order.
+Per workload it prints the number of solves, how many changed status or
+iteration count, how many changed hash, and the largest relative change
+of the primal objective, |new - old| / max(|old|, |new|).  It exits 1 if
+any solve changed status or iteration count, and 2 if the files do not
+list the same solves.
 """
 
 from __future__ import annotations
@@ -62,7 +72,8 @@ def main() -> None:
     def recording(prob, config=None):
         sol = real(prob, config)
         m, nnz = _problem_size(prob)
-        lines.append(f"{sol.status} {sol.iterations} {digest(sol)} {m} {nnz}")
+        lines.append(f"{sol.status} {sol.iterations} {digest(sol)} {m} {nnz} "
+                     f"{sol.primal_obj!r}")
         return sol
 
     statuses = Counter()
@@ -84,5 +95,36 @@ def main() -> None:
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
+def compare(old_path: str, new_path: str) -> int:
+    """Print the per-workload summary of two digest files; the exit code."""
+    old = Path(old_path).read_text().splitlines()
+    new = Path(new_path).read_text().splitlines()
+    if len(old) != len(new):
+        print(f"{len(old)} solves against {len(new)}", file=sys.stderr)
+        return 2
+    summary = {}
+    for a, b in zip(old, new):
+        a, b = a.split(), b.split()
+        if a[:2] != b[:2]:
+            print(f"solve {' '.join(a[:2])} against {' '.join(b[:2])}",
+                  file=sys.stderr)
+            return 2
+        row = summary.setdefault(a[0], [0, 0, 0, 0.0])
+        row[0] += 1
+        row[1] += a[2:4] != b[2:4]
+        row[2] += a[4] != b[4]
+        pa, pb = float(a[7]), float(b[7])
+        if pa != pb:
+            row[3] = max(row[3], abs(pb - pa) / max(abs(pa), abs(pb)))
+    for name, (n, moved, rehashed, drift) in summary.items():
+        print(f"{name}: {n} solves, {moved} moved in status or iterations, "
+              f"{rehashed} in hash, largest relative objective drift {drift:.3g}")
+    return int(any(row[1] for row in summary.values()))
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.exit(compare(*sys.argv[2:]))
+    if len(sys.argv) > 1:
+        sys.exit(f"usage: {sys.argv[0]} [--compare OLD NEW]")
     main()

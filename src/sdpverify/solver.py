@@ -17,10 +17,10 @@ Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
 rows r_j, so column j of M needs only V_j = X[:, r_j] (A_j[r_j, :] S^{-1}),
 formed in one stacked product per chunk of constraints with as many rows.
-A diagonal block adds Avec diag(x/s) Avec^T, whose sparsity pattern is
+The diagonal cone adds Avec diag(x/s) Avec^T, whose sparsity pattern is
 found once per solve, so each iteration costs one weighted bincount.  One
 Cholesky factor each of X and S per iteration serves S^{-1} and all four
-step lengths; the diagonal blocks share one step-length pass.
+step lengths; on the diagonal cone a step length is one ratio test.
 Factorizations, solves and eigenvalues call LAPACK directly with the
 arguments scipy.linalg would pass, and sparse products A @ x call
 scipy's csr_matvec and csr_matvecs kernels directly as scipy.sparse
@@ -38,7 +38,14 @@ scipy.sparse imports it, and would not be bound as its attribute.
 The constraint data is compiled once per solve from all (constraint,
 row, col, value) triplets of a block at once: sorted by (constraint,
 row, col) with duplicates summed in entry order, then laid out as csr
-arrays with one row per constraint.
+arrays with one row per constraint.  All diagonal blocks of a problem
+compile into one diagonal cone at the first one's place, their columns
+one after another, as SDPA and SDPT3 keep every linear variable in one
+LP block: an iteration then handles one vector for them, however many
+blocks the problem has.  The solution splits the final iterate back into
+the problem's blocks.  A problem with one diagonal block compiles as that
+block alone; with several, sums over the cone such as mu and <C, X> run
+over one vector and round differently from sums block by block.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -119,7 +126,8 @@ MAX_ITERATIONS = "MaxIterations"
 NUMERICAL_FAILURE = "NumericalFailure"
 UNBOUNDED = "Unbounded"
 
-# Objective below this is treated as a divergence certificate.
+# Objective below this times the largest coefficient magnitude (at least
+# 1) is treated as a divergence certificate.
 _UNBOUNDED_OBJ = -1e12
 # Schur regularization ladder, relative to the diagonal scale.
 _REG_LADDER = tuple(1e-12 * 10.0**k for k in range(7))
@@ -189,9 +197,11 @@ class _Csr(NamedTuple):
 class _CompiledBlock:
     """Per-block constraint data in solver-friendly form."""
 
-    def __init__(self, kind, dim, C, Avec, AvecT, chunks):
+    def __init__(self, kind, dim, C, Avec, AvecT, chunks, blocks, cuts):
         self.kind = kind
         self.dim = dim
+        self.blocks = blocks  # the problem blocks it holds, in order
+        self.cuts = cuts  # where each but the first of them starts
         self.C = C  # dense (d, d) for psd, (d,) for diag
         self.Avec = Avec  # csr: (m, d*d) for psd, (m, d) for diag
         self.AvecT = AvecT  # csr: Avec.T
@@ -289,24 +299,42 @@ def _psd_chunks(present, j, row, col, val, d, m):
 
 
 def _compile(prob: SdpProblem):
+    """Per-block constraint data, with every diagonal block of `prob` in one
+    diagonal cone at the first one's place: their columns follow one
+    another in block order, and `_join` and `_split` map iterates between
+    the two layouts."""
     m = prob.num_constraints
+    diag = [bidx for bidx, blk in enumerate(prob.blocks) if blk.kind == "diag"]
     compiled = []
     for bidx, blk in enumerate(prob.blocks):
-        d = blk.dim
+        if blk.kind == "diag" and bidx != diag[0]:
+            continue
         psd = blk.kind == "psd"
-        cmat = prob.objective.get(bidx)
+        group = diag if blk.kind == "diag" else [bidx]
+        sizes = [prob.blocks[b].dim for b in group]
+        offsets = np.cumsum(sizes) - sizes
+        d = int(sum(sizes))
+
+        def shifted(terms):
+            # the group's terms, each moved to its block's columns in the cone
+            return [mat._replace(row=mat.row + off, col=mat.col + off,
+                                 shape=(d, d)) if off else mat
+                    for b, off in zip(group, offsets)
+                    if (mat := terms.get(b)) is not None]
+
+        cterms = shifted(prob.objective)
         if psd:
-            C = cmat.toarray() if cmat is not None else np.zeros((d, d))
+            C = cterms[0].toarray() if cterms else np.zeros((d, d))
         else:
             C = np.zeros(d)
-            if cmat is not None:
-                np.add.at(C, cmat.row, cmat.data)
+            if cterms:
+                np.add.at(C, np.concatenate([c.row for c in cterms]),
+                          np.concatenate([c.data for c in cterms]))
         present, mats = [], []
         for j, cons in enumerate(prob.constraints):
-            mat = cons.terms.get(bidx)
-            if mat is not None:
-                present.append(j)
-                mats.append(mat)
+            terms = shifted(cons.terms)
+            present += [j] * len(terms)
+            mats += terms
         present = np.array(present, dtype=np.int64)
         j, row, col, val = _triplets(present, mats)
         # the csr arrays tocsr gives: entries by (j, column); transposed,
@@ -317,8 +345,24 @@ def _compile(prob: SdpProblem):
         by_col = np.argsort(idx, kind="stable")
         AvecT = _csr(val[by_col], j[by_col], idx[by_col], (ncols, m))
         chunks = _psd_chunks(present, j, row, col, val, d, m) if psd else None
-        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, AvecT, chunks))
+        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, AvecT, chunks,
+                                       tuple(group), offsets[1:]))
     return compiled
+
+
+def _join(compiled, blocks: list) -> list:
+    """Per-problem-block arrays in the compiled layout: a diagonal cone
+    concatenates its blocks' vectors."""
+    return [np.concatenate([blocks[b] for b in cb.blocks])
+            if len(cb.blocks) > 1 else blocks[cb.blocks[0]] for cb in compiled]
+
+
+def _split(compiled, cblocks: list) -> list:
+    """Compiled-layout arrays back as one per problem block, in block order."""
+    out = {}
+    for cb, arr in zip(compiled, cblocks):
+        out.update(zip(cb.blocks, np.split(arr, cb.cuts) if cb.cuts.size else [arr]))
+    return [out[b] for b in sorted(out)]
 
 
 def _matvec(A, x: np.ndarray) -> np.ndarray:
@@ -521,21 +565,15 @@ def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 def _max_step(compiled, cones, dxblocks) -> float:
-    """Largest step along `dxblocks`; `cones`: psd factors, diagonal iterates.
-    The diagonal blocks go through `_max_step_diag` as one vector: a
-    minimum is exact, so this is the least of their own steps."""
+    """Largest step along `dxblocks`; `cones`: psd factors, diagonal iterates."""
     step = np.inf
-    xs, dxs = [], []
     for cb, xb, dxb in zip(compiled, cones, dxblocks):
         if cb.kind == "psd":
             step = min(step, _max_step_psd(xb, dxb))
         elif cb.kind == "diag":
-            xs.append(xb)
-            dxs.append(dxb)
+            step = min(step, _max_step_diag(xb, dxb))
         elif not np.isfinite(dxb).all():
             raise _NumericalProblem("non-finite direction")
-    if xs:
-        step = min(step, _max_step_diag(np.concatenate(xs), np.concatenate(dxs)))
     return step
 
 
@@ -566,20 +604,22 @@ def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
         free_cuts = np.cumsum([compiled[bi].dim for bi in free])[:-1]
 
     dscale = _dual_scale(compiled)
-    mu0 = max(1.0, 100.0 * _max_coefficient(compiled, bvec))
+    cmax = _max_coefficient(compiled, bvec)
+    mu0 = max(1.0, 100.0 * cmax)
+    unbounded_obj = _UNBOUNDED_OBJ * max(1.0, cmax)
     if not np.isfinite(n_cone * mu0 * mu0):
         raise ValueError(f"problem data too large: the start's <X, S> = n mu_0^2 "
                          f"overflows at mu_0 = {mu0:.3g}")
 
-    def start(cb):
+    def start(blk):
         # mu_0 I on the cones; a free block and its dual slack start at
         # zero, the slack to stay there, so the residuals read B^T y = c_f
-        if cb.kind == "psd":
-            return np.eye(cb.dim) * mu0
-        return np.full(cb.dim, mu0 if cb.kind == "diag" else 0.0)
+        if blk.kind == "psd":
+            return np.eye(blk.dim) * mu0
+        return np.full(blk.dim, mu0 if blk.kind == "diag" else 0.0)
 
-    xblocks = [start(cb) for cb in compiled]
-    sblocks = [start(cb) for cb in compiled]
+    xblocks = _join(compiled, [start(blk) for blk in prob.blocks])
+    sblocks = _join(compiled, [start(blk) for blk in prob.blocks])
     y = np.zeros(m)
     history = []
 
@@ -589,9 +629,9 @@ def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
         )
         return SdpSolution(
             status=status,
-            xblocks=xblocks,
+            xblocks=_split(compiled, xblocks),
             y=y,
-            sblocks=sblocks,
+            sblocks=_split(compiled, sblocks),
             primal_obj=pobj,
             dual_obj=dobj,
             gap=gap,
@@ -633,7 +673,7 @@ def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
             history.append((mu, pres, dres, gap))
             if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
                 return snapshot(OPTIMAL, k)
-            if pobj < _UNBOUNDED_OBJ:
+            if pobj < unbounded_obj:
                 return snapshot(UNBOUNDED, k)
             score = max(pres, dres, gap)
             if score < best_score:

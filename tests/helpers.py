@@ -10,7 +10,13 @@ import numpy as np
 from sdpverify.bounds import input_box, propagate
 from sdpverify.network import Network
 from sdpverify.sdpform import Block, Constraint, Coo, SdpProblem, VariableLayout
-from sdpverify.solver import _compile, _dual_residuals, _dual_scale, _residual_triplet
+from sdpverify.solver import (
+    _compile,
+    _dual_residuals,
+    _dual_scale,
+    _join,
+    _residual_triplet,
+)
 
 
 def make_net(rng, sizes):
@@ -212,7 +218,9 @@ def residuals(prob: SdpProblem, xblocks, y, sblocks) -> tuple[float, float, floa
     dual:   ||C - S - A^T(y)||_F / (1 + ||C||_F)
     gap:    |tr(C X) - b^T y| / (1 + |tr(C X)|)
     """
+    assert len(xblocks) == len(sblocks) == len(prob.blocks)
     compiled = _compile(prob)
+    xblocks, sblocks = _join(compiled, xblocks), _join(compiled, sblocks)
     y = np.asarray(y, dtype=float)
     pres, dres, gap, _, _ = _residual_triplet(
         compiled, prob.rhs_vector(), _dual_scale(compiled), xblocks, y,

@@ -134,6 +134,19 @@ def test_unbounded_objective_detected():
     assert sol.status == "Unbounded"
 
 
+def test_unbounded_threshold_scales_with_the_data():
+    """min -x_0 over x_0 + x_1 = 1e20 is bounded at -1e20, far below the
+    absolute -1e12 at which data of magnitude 1 counts as diverging."""
+    prob = _simple(
+        {0: coo(np.diag([-1.0, 0.0]))},
+        [Constraint({0: coo(np.eye(2))}, 1e20, "=", "cap")],
+        blocks=(Block("diag", 2),),
+    )
+    sol = solve(prob, SolverConfig())
+    assert sol.status == "Optimal"
+    assert abs(sol.primal_obj + 1e20) <= 1e-5 * 1e20
+
+
 def test_free_variable_elimination():
     # min x with x >= 0 tied to a free variable pinned at 3
     prob = SdpProblem(
@@ -272,12 +285,41 @@ def test_solution_reports_are_consistent():
     assert eigs.min() >= -1e-7
 
 
+def test_diagonal_blocks_around_a_psd_block():
+    """Diagonal blocks on both sides of a psd block compile into one cone,
+    and the solution hands them back in the problem's order and shapes."""
+    rng = np.random.default_rng(51)
+    planted, opt, _ = planted_instance(rng, (3,), (2, 4))
+    order = [1, 0, 2]  # block k of the new problem is block order[k]
+    new_index = {old: new for new, old in enumerate(order)}
+
+    def moved(terms):
+        return {new_index[b]: mat for b, mat in terms.items()}
+
+    prob = SdpProblem(
+        blocks=tuple(planted.blocks[b] for b in order),
+        objective=moved(planted.objective), obj_offset=0.0,
+        constraints=[Constraint(moved(c.terms), c.rhs, c.sense, c.label)
+                     for c in planted.constraints],
+    )
+    assert [(cb.kind, cb.dim) for cb in _compile(prob)] == [("diag", 6), ("psd", 3)]
+    sol = solve(prob, SolverConfig())
+    assert sol.status == "Optimal"
+    assert abs(sol.primal_obj - opt) <= 1e-6 * (1.0 + abs(opt))
+    for blocks in (sol.xblocks, sol.sblocks):
+        assert [b.shape for b in blocks] == [(2,), (3, 3), (4,)]
+    pres, dres, gap = residuals(prob, sol.xblocks, sol.y, sol.sblocks)
+    assert abs(pres - sol.primal_res) <= 1e-10
+    assert abs(dres - sol.dual_res) <= 1e-10
+    assert abs(gap - sol.gap) <= 1e-10
+
+
 def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
     """The Schur assembly as one column loop per psd constraint, which the
     batched `_schur` replaced; kept to pin its floating-point operations."""
     m = prob.num_constraints
     M = np.zeros((m, m))
-    for bidx, (cb, xb, sb, si) in enumerate(zip(compiled, xblocks, sblocks, sinv)):
+    for cb, xb, sb, si in zip(compiled, xblocks, sblocks, sinv):
         A = sp.csr_matrix((cb.Avec.data, cb.Avec.indices, cb.Avec.indptr),
                           shape=cb.Avec.shape)
         if A.nnz == 0 or cb.kind == "free":
@@ -287,7 +329,7 @@ def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
             M += (weighted @ A.T).toarray()
             continue
         for j, cons in enumerate(prob.constraints):
-            mat = cons.terms.get(bidx)
+            mat = cons.terms.get(cb.blocks[0])
             if mat is None:
                 continue
             mat = Coo.of(*mat)
@@ -306,10 +348,11 @@ def _spd(rng, d):
     return (P + P.T) / 2.0
 
 
-def _interior_point(rng, prob):
-    """Random strictly interior X and S, bitwise symmetric like the iterates."""
+def _interior_point(rng, compiled):
+    """Random strictly interior X and S per compiled block, bitwise symmetric
+    like the iterates."""
     xblocks, sblocks = [], []
-    for blk in prob.blocks:
+    for blk in compiled:
         if blk.kind == "psd":
             pair = [_spd(rng, blk.dim) for _ in range(2)]
         elif blk.kind == "diag":
@@ -342,10 +385,11 @@ def _hand_built():
                       constraints=cons)
 
 
-def _oracle_lp(monkeypatch):
-    """The first two-block standard-form LP that `exact_gamma` solves on a
-    depth-2 fixture: a diag block of 2 whose columns have 4 nonzeros each,
-    and a diag slack block."""
+def _oracle_lp(monkeypatch, nblocks=2):
+    """The first standard-form LP of `nblocks` blocks that `exact_gamma`
+    solves on a depth-2 fixture.  With two, a minimum LP: a diag block of 2
+    whose columns have 4 nonzeros each, and a diag slack block; with three,
+    a margin LP, whose margin variable is a diag block of 1 between them."""
     net, center = random_instance(2, 8, seed=0)
     prep = prepare_instance(net, center, 0.1)
     seen = []
@@ -357,7 +401,7 @@ def _oracle_lp(monkeypatch):
 
     monkeypatch.setattr(solver, "solve", record)
     oracle.exact_gamma(prep.net, prep.bounds, _competitors(prep, None)[0])
-    return next(p for p in seen if len(p.blocks) == 2)
+    return next(p for p in seen if len(p.blocks) == nblocks)
 
 
 def test_schur_assembly_matches_per_constraint_loop(monkeypatch):
@@ -376,11 +420,12 @@ def test_schur_assembly_matches_per_constraint_loop(monkeypatch):
     problems.append(_hand_built())
     lp = _oracle_lp(monkeypatch)
     assert [b.kind for b in lp.blocks] == ["diag", "diag"]
-    assert np.diff(_compile(lp)[0].AvecT.indptr).min() > 1
+    # every column of the first block holds more than one nonzero
+    assert np.diff(_compile(lp)[0].AvecT.indptr)[:lp.blocks[0].dim].min() > 1
     problems.append(lp)
     for prob in problems:
         compiled = _compile(prob)
-        xblocks, sblocks = _interior_point(rng, prob)
+        xblocks, sblocks = _interior_point(rng, compiled)
         sinv = [
             _psd_inverse(np.linalg.cholesky(sb)) if cb.kind == "psd"
             else 1.0 / sb if cb.kind == "diag" else None
@@ -390,6 +435,44 @@ def test_schur_assembly_matches_per_constraint_loop(monkeypatch):
         ref = _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv)
         assert np.array_equal(M, ref)
         assert np.any(M != 0.0)
+
+
+def _one_diagonal_block(prob):
+    """`prob`, all of whose blocks are diagonal, with them joined by hand into
+    one diagonal block: block b's columns shifted by the dims before it."""
+    offsets = np.cumsum([0] + [blk.dim for blk in prob.blocks])
+    n = int(offsets[-1])
+
+    def joined(terms):
+        parts = [(terms[b], offsets[b]) for b in sorted(terms)]
+        return {0: Coo.of(np.concatenate([t.row + off for t, off in parts]),
+                          np.concatenate([t.col + off for t, off in parts]),
+                          np.concatenate([t.data for t, _ in parts]), (n, n))}
+
+    return SdpProblem(
+        blocks=(Block("diag", n),), objective=joined(prob.objective),
+        obj_offset=prob.obj_offset,
+        constraints=[Constraint(joined(c.terms), c.rhs, c.sense, c.label)
+                     for c in prob.constraints],
+    )
+
+
+def test_solve_ignores_how_the_orthant_is_split(monkeypatch):
+    """The oracle's margin LP solves the same with its diagonal blocks of 2,
+    1 and the slacks as with their columns in one block, to the last bit."""
+    lp = _oracle_lp(monkeypatch, nblocks=3)
+    assert [(b.kind, b.dim) for b in lp.blocks[:2]] == [("diag", 2), ("diag", 1)]
+    assert lp.blocks[2].kind == "diag"
+    split = solve(lp, oracle._LP_CONFIG)
+    one = solve(_one_diagonal_block(lp), oracle._LP_CONFIG)
+    assert split.status == one.status == "Optimal"
+    assert split.iterations == one.iterations
+    assert split.primal_obj == one.primal_obj
+    assert [x.shape for x in split.xblocks] == [(b.dim,) for b in lp.blocks]
+    cuts = np.cumsum([b.dim for b in lp.blocks])[:-1]
+    for mine, theirs in ((split.xblocks, one.xblocks), (split.sblocks, one.sblocks)):
+        for a, b in zip(mine, np.split(theirs[0], cuts), strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_lapack_wrappers_match_scipy_bit_for_bit():
@@ -496,6 +579,7 @@ def test_first_solves_leave_numpy_ma_unimported():
 
 
 def test_diagonal_steps_merge_into_one_pass():
+    """The step over several blocks is the least of the blocks' own steps."""
     rng = np.random.default_rng(50)
     kinds = ["diag", "psd", "diag", "free", "diag"]
     compiled = [SimpleNamespace(kind=k) for k in kinds]
