@@ -119,18 +119,6 @@ def verdict(results: list[TargetResult]) -> str:
     return "Undetermined"
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 @dataclass
 class VerificationReport:
     """Everything cmd_verify learned about one network and box."""
@@ -147,7 +135,7 @@ class VerificationReport:
     wscale: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(asdict(self)), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -166,7 +154,7 @@ class BoundReport:
     layer_sizes: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(asdict(self)), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass

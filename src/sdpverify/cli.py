@@ -285,7 +285,7 @@ class SweepSpec:
         if self.width < 1:
             raise ValueError("width must be at least 1")
         for name in self.variants:
-            Variant.parse(name)
+            Variant(name)
 
 
 def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
@@ -300,6 +300,7 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
     so `solution.xblocks[0]` is the moment matrix of the relaxation.  Rows
     come out in (depth, seed, variant) order.
     """
+    variants = [Variant(name) for name in spec.variants]
     rows = []
     for depth in spec.depths:
         for seed in spec.seeds:
@@ -308,9 +309,9 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
             bound = min_eig_bound(prep.net, center, spec.rho)
             logits = forward(prep.net, center)
             target = max(_competitors(prep, None), key=lambda t: (logits[t], -t))
-            for name in spec.variants:
+            for variant in variants:
                 t0 = clock()
-                prob, std = _relaxation(prep, target, Variant.parse(name))
+                prob, std = _relaxation(prep, target, variant)
                 t1 = clock()
                 lambda_star, radius = _radius(std, None)
                 t2 = clock()
@@ -320,7 +321,7 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
                     SweepRow(
                         seed=seed,
                         L=depth,
-                        variant=name,
+                        variant=variant.name,
                         target=target,
                         gamma=gamma,
                         status=sol.status,
@@ -339,8 +340,8 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
     return rows
 
 
-def run_compare(net, center, rho, *, targets=None, eps=0.01, alpha=0.01,
-                gap_tol=None):
+def run_compare(net, center, rho, *, targets=None, eps=Variant.eps,
+                alpha=Variant.alpha, gap_tol=None):
     """Exact margin next to every variant's relaxed margin, per target."""
     prep = prepare_instance(net, center, rho, prune=True)
     out = {"predicted": prep.predicted, "rho": float(rho), "targets": []}
@@ -348,7 +349,7 @@ def run_compare(net, center, rho, *, targets=None, eps=0.01, alpha=0.01,
         gamma_star = exact_gamma(prep.net, prep.bounds, t)
         entry = {"target": t, "gamma_star": gamma_star, "variants": {}}
         for name in VARIANT_NAMES:
-            variant = Variant.parse(name, eps=eps, alpha=alpha)
+            variant = Variant(name, eps=eps, alpha=alpha)
             gamma, sol = _margin(*_relaxation(prep, t, variant), gap_tol)
             if sol.status == _solver.OPTIMAL and gamma > gamma_star + 1e-6:
                 raise RuntimeError(
@@ -477,21 +478,31 @@ def _add_instance_flags(p):
                    help="keep provably inactive neurons (demonstrates vanishing)")
 
 
+def _add_eps_alpha_flags(p):
+    p.add_argument("--eps", type=float, default=Variant.eps,
+                   help="complementarity band half-width for the eps variant")
+    p.add_argument("--alpha", type=float, default=Variant.alpha,
+                   help="negative-side slope for the leaky variant")
+
+
 def _add_variant_flags(p):
     p.add_argument("--variant", choices=VARIANT_NAMES, default="base")
-    p.add_argument("--eps", type=float, default=0.01,
-                   help="complementarity band half-width for the eps variant")
-    p.add_argument("--alpha", type=float, default=0.01,
-                   help="negative-side slope for the leaky variant")
+    _add_eps_alpha_flags(p)
     p.add_argument("--dscale", action="store_true",
                    help="rescale constraint rows by interval magnitudes")
 
 
-def _add_output_flags(p, formats=("json", "csv")):
+def _add_output_flags(p):
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--gap-tol", type=float, dest="gap_tol",
                    help="relative duality-gap tolerance for the solver")
+
+
+def _add_per_target_flags(p):
+    """verify and compare report one row per competitor label."""
+    p.add_argument("--target", type=int,
+                   help="single competitor label (default: every one)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _build_parser():
@@ -504,15 +515,12 @@ def _build_parser():
     _add_instance_flags(pv)
     _add_variant_flags(pv)
     _add_output_flags(pv)
-    grp = pv.add_mutually_exclusive_group()
-    grp.add_argument("--target", type=int, help="single competitor label")
-    grp.add_argument("--all-targets", action="store_true",
-                     help="verify against every competitor label (default)")
+    _add_per_target_flags(pv)
 
     pd = sub.add_parser("diagnose", help="measure strict feasibility of the relaxation")
     _add_instance_flags(pd)
     _add_variant_flags(pd)
-    _add_output_flags(pd, formats=("json",))
+    _add_output_flags(pd)
 
     ps = sub.add_parser("sweep", help="depth sweep over random fixture networks")
     ps.add_argument("--depths", required=True, help="comma list of affine layer counts")
@@ -526,12 +534,9 @@ def _build_parser():
 
     pc = sub.add_parser("compare", help="exact margins next to each variant's bound")
     _add_instance_flags(pc)
+    _add_eps_alpha_flags(pc)
     _add_output_flags(pc)
-    pc.add_argument("--eps", type=float, default=0.01)
-    pc.add_argument("--alpha", type=float, default=0.01)
-    grp = pc.add_mutually_exclusive_group()
-    grp.add_argument("--target", type=int)
-    grp.add_argument("--all-targets", action="store_true")
+    _add_per_target_flags(pc)
 
     pg = sub.add_parser("gen-fixtures", help="write deterministic fixture networks")
     pg.add_argument("--out", required=True, help="output directory")
@@ -560,7 +565,7 @@ def _seeds_from(args):
 def _dispatch(args):
     if args.command == "verify":
         net, center = _load_net_and_center(args.net, args.input)
-        variant = Variant.parse(args.variant, eps=args.eps, alpha=args.alpha)
+        variant = Variant(args.variant, eps=args.eps, alpha=args.alpha)
         targets = None if args.target is None else [args.target]
         report = run_verify(
             net, center, args.rho, variant,
@@ -578,7 +583,7 @@ def _dispatch(args):
 
     if args.command == "diagnose":
         net, center = _load_net_and_center(args.net, args.input)
-        variant = Variant.parse(args.variant, eps=args.eps, alpha=args.alpha)
+        variant = Variant(args.variant, eps=args.eps, alpha=args.alpha)
         report = run_diagnose(
             net, center, args.rho, variant,
             dscale=args.dscale, wscale=args.wscale,

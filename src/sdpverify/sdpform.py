@@ -114,11 +114,15 @@ class Variant:
     leaky      relu-pos sloped by alpha, relu-comp one-sided
     bremove    box constraints kept only at the input layer
     problem-a  relu-comp dropped, boxes kept everywhere
+
+    `eps` and `alpha` default to 1/100 each, and the CLI's `--eps` and
+    `--alpha` and `run_compare` take these defaults.  Only the variant of
+    the same name reads `eps` or `alpha`.
     """
 
     name: str
-    eps: float = 0.0
-    alpha: float = 0.0
+    eps: float = 0.01
+    alpha: float = 0.01
 
     def __post_init__(self):
         if self.name not in VARIANT_NAMES:
@@ -130,31 +134,9 @@ class Variant:
 
     @classmethod
     def base(cls) -> "Variant":
+        """`Variant("base")`; `perfbench/run.py` and `perfbench/workloads.py`
+        call it."""
         return cls("base")
-
-    @classmethod
-    def epsilon(cls, eps: float = 0.01) -> "Variant":
-        return cls("eps", eps=eps)
-
-    @classmethod
-    def leaky(cls, alpha: float = 0.01) -> "Variant":
-        return cls("leaky", alpha=alpha)
-
-    @classmethod
-    def bremove(cls) -> "Variant":
-        return cls("bremove")
-
-    @classmethod
-    def problem_a(cls) -> "Variant":
-        return cls("problem-a")
-
-    @classmethod
-    def parse(cls, name: str, eps: float = 0.01, alpha: float = 0.01) -> "Variant":
-        if name == "eps":
-            return cls.epsilon(eps)
-        if name == "leaky":
-            return cls.leaky(alpha)
-        return cls(name)
 
 
 class Coo(NamedTuple):

@@ -98,7 +98,7 @@ def soundness_table():
         entry = {"seed": seed, "net": net, "center": center,
                  "gamma_star": gamma_star, "variants": {}}
         for name in VARIANT_NAMES:
-            rep = run_verify(net, center, RHO_SMALL, Variant.parse(name))
+            rep = run_verify(net, center, RHO_SMALL, Variant(name))
             t = rep.targets[0]
             entry["variants"][name] = (t.gamma, t.status)
         records.append(entry)
@@ -266,7 +266,7 @@ def test_criterion_07_dscale_invariance(soundness_table):
         for name in VARIANT_NAMES:
             plain_gamma, plain_status = rec["variants"][name]
             rep = run_verify(rec["net"], rec["center"], RHO_SMALL,
-                             Variant.parse(name), dscale=True)
+                             Variant(name), dscale=True)
             t = rep.targets[0]
             if plain_status == "Optimal" and t.status == "Optimal":
                 pairs += 1

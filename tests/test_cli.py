@@ -256,7 +256,7 @@ def test_sweep_rows_match_verify_and_diagnose(tmp_path, monkeypatch):
     assert [r.variant for r in rows] == variants
     net, center = random_instance(4, 8, seed=0)
     for row in rows:
-        variant = Variant.parse(row.variant)
+        variant = Variant(row.variant)
         rep = run_verify(net, center, 0.1, variant, targets=[row.target])
         assert row.gamma == rep.targets[0].gamma
         assert row.solution.status == row.status
@@ -346,6 +346,39 @@ def test_compare_cli_csv(tmp_path, capsys, monkeypatch):
         f"{c['gamma']:.10g},{c['gap']:.10g},{c['status']}\n"
         for e in res["targets"] for name, c in e["variants"].items()
     )
+
+
+def test_variant_defaults_are_the_cli_defaults(tmp_path, monkeypatch):
+    """`Variant(name)` is what the CLI and `run_compare` build when no
+    `--eps` or `--alpha` is given."""
+    assert Variant("eps") == Variant("eps", eps=0.01)
+    assert Variant("leaky").alpha == 0.01
+    built, real = [], cli.build_relaxation
+
+    def wrapped(net, bounds, target, variant):
+        built.append(variant)
+        return real(net, bounds, target, variant)
+
+    monkeypatch.setattr(cli, "build_relaxation", wrapped)
+    path = _save(_tiny(), tmp_path)
+    for name in ("eps", "leaky"):
+        built.clear()
+        assert main(["verify", "--net", path, "--input", "1.0", "--rho", "0.5",
+                     "--variant", name]) == 0
+        assert built == [Variant(name)]
+    built.clear()
+    run_compare(_tiny(), [1.0], 0.5)
+    assert built == [Variant(name) for name in VARIANT_NAMES]
+
+
+def test_flags_that_set_nothing_are_gone(tmp_path, capsys):
+    path = _save(_tiny(), tmp_path)
+    inst = ["--net", path, "--input", "1.0", "--rho", "0.5"]
+    for argv in (["verify", *inst, "--all-targets"],
+                 ["compare", *inst, "--all-targets"],
+                 ["diagnose", *inst, "--format", "json"]):
+        assert main(argv) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_removed_variant_name_is_usage_error(tmp_path, capsys):

@@ -93,22 +93,22 @@ def test_base_constraint_census(tiny_net):
 def test_variant_constraint_families(tiny_net):
     bounds = boxed(tiny_net, [1.0], 0.5)
 
-    prob = build_relaxation(tiny_net, bounds, 1, Variant.bremove())
+    prob = build_relaxation(tiny_net, bounds, 1, Variant("bremove"))
     assert _census(prob) == {"unit": 1, "relu-pos": 1, "relu-aff": 1,
                              "relu-comp": 1, "box": 1}
     assert all("box[1]" not in c.label for c in prob.constraints)
 
-    prob = build_relaxation(tiny_net, bounds, 1, Variant.problem_a())
+    prob = build_relaxation(tiny_net, bounds, 1, Variant("problem-a"))
     assert _census(prob) == {"unit": 1, "relu-pos": 1, "relu-aff": 1, "box": 2}
 
-    prob = build_relaxation(tiny_net, bounds, 1, Variant.epsilon(0.01))
+    prob = build_relaxation(tiny_net, bounds, 1, Variant("eps", eps=0.01))
     census = _census(prob)
     assert census["relu-comp-ub"] == 1 and census["relu-comp-lb"] == 1
     senses = {c.label: (c.sense, c.rhs) for c in prob.constraints}
     assert senses["relu-comp-ub[0][0]"] == ("<=", 0.01)
     assert senses["relu-comp-lb[0][0]"] == (">=", -0.01)
 
-    prob = build_relaxation(tiny_net, bounds, 1, Variant.leaky(0.01))
+    prob = build_relaxation(tiny_net, bounds, 1, Variant("leaky", alpha=0.01))
     census = _census(prob)
     assert census["relu-leak"] == 1 and "relu-pos" not in census
     assert census["relu-comp-ub"] == 1  # one-sided under the leaky slope
@@ -119,7 +119,7 @@ def test_variants_build_distinct_rows(tiny_net):
     bounds = boxed(tiny_net, [1.0], 0.5)
 
     def rows(name):
-        prob = build_relaxation(tiny_net, bounds, 1, Variant.parse(name))
+        prob = build_relaxation(tiny_net, bounds, 1, Variant(name))
         return [(c.label, c.sense, c.rhs,
                  sorted((k, A.toarray().tolist())
                         for k, A in c.terms.items()))
@@ -200,7 +200,7 @@ def test_relaxation_matches_an_entrywise_reference(tiny_net):
     for depth, prune in [(4, False), (12, True)]:
         prep = prepare_instance(*random_instance(depth, 8, seed=0), 0.1, prune=prune)
         cases.append((prep.net, prep.bounds, _competitors(prep, None)[0]))
-    variants = [Variant.parse(n) for n in VARIANT_NAMES] + [Variant.epsilon(0.0)]
+    variants = [Variant(n) for n in VARIANT_NAMES] + [Variant("eps", eps=0.0)]
     for (net, bounds, target), variant in itertools.product(cases, variants):
         prob = build_relaxation(net, bounds, target, variant)
         rows, objective = _entrywise_rows(net, bounds, target, variant)
@@ -240,7 +240,7 @@ def test_rank_one_traces_are_feasible():
         target = 1 - predict(net, center)
         xs = sample_box(rng, bounds, 20)
         for name in VARIANT_NAMES:
-            prob = build_relaxation(net, bounds, target, Variant.parse(name))
+            prob = build_relaxation(net, bounds, target, Variant(name))
             for x in xs:
                 acts = activations(net, x)
                 P = lifted_point(prob.layout, acts)
@@ -266,16 +266,16 @@ def test_trace_caps_on_lifted_points(tiny_net):
         return float(np.trace(P)), bounds
 
     # problem-a, both boxes [0.5, 1.5]
-    tr, bounds = lifted(tiny_net, 1.0, Variant.problem_a())
+    tr, bounds = lifted(tiny_net, 1.0, Variant("problem-a"))
     half_sum = 0.5 * sum(float((bounds.upper(i) ** 2).sum() + (bounds.lower(i) ** 2).sum())
                          for i in range(bounds.num_layers))
     assert (tr, half_sum) == (3.0, 2.5)
-    tr, bounds = lifted(tiny_net, 1.5, Variant.problem_a())
+    tr, bounds = lifted(tiny_net, 1.5, Variant("problem-a"))
     assert tr == box_trace_cap(bounds) == 5.5
 
     # bremove on a contracting layer, T = (2.25, 0.0325)
     shrunk = Network((np.array([[0.1]]),) + tiny_net.weights[1:], tiny_net.biases)
-    tr, _ = lifted(shrunk, 1.5, Variant.bremove())
+    tr, _ = lifted(shrunk, 1.5, Variant("bremove"))
     T = trace_bounds(shrunk, np.array([1.0]), 0.5)
     assert T.sum() < tr <= 1.0 + T.sum()
     assert abs(tr - 3.2725) <= 1e-12 and abs(1.0 + T.sum() - 3.2825) <= 1e-12
@@ -292,7 +292,7 @@ def test_epsilon_zero_recovers_base_optimum():
         bounds = boxed(net, center, 0.3)
         target = 1 - predict(net, center)
         vals = []
-        for variant in (Variant.base(), Variant.epsilon(0.0)):
+        for variant in (Variant.base(), Variant("eps", eps=0.0)):
             prob = build_relaxation(net, bounds, target, variant)
             sol = solve(to_standard_form(prob),
                         SolverConfig(gap_tol=1e-10, feas_tol=1e-9))
@@ -311,7 +311,7 @@ def test_looser_variants_never_beat_base():
         target = 1 - predict(net, center)
         gammas = {}
         for name in VARIANT_NAMES:
-            prob = build_relaxation(net, bounds, target, Variant.parse(name))
+            prob = build_relaxation(net, bounds, target, Variant(name))
             sol = solve(to_standard_form(prob), SolverConfig())
             assert sol.status == "Optimal"
             gammas[name] = sol.primal_obj + prob.obj_offset
@@ -324,13 +324,13 @@ def test_builder_rejects_bad_arguments(tiny_net):
     with pytest.raises(ValueError):
         build_relaxation(tiny_net, bounds, 0, Variant.base())  # predicted label
     with pytest.raises(ValueError):
-        Variant.epsilon(-0.1)
+        Variant("eps", eps=-0.1)
     with pytest.raises(ValueError):
-        Variant.leaky(0.0)
+        Variant("leaky", alpha=0.0)
     with pytest.raises(ValueError):
-        Variant.leaky(1.0)
+        Variant("leaky", alpha=1.0)
     with pytest.raises(ValueError):
-        Variant.parse("nope")
+        Variant("nope")
 
 
 def test_dscale_is_identity_on_unit_bounds():
@@ -568,7 +568,7 @@ def _term_path_problems(monkeypatch):
     prep = prepare_instance(*random_instance(12, 8, seed=0), 0.1)
     target = _competitors(prep, None)[0]
     for name in VARIANT_NAMES:
-        prob = build_relaxation(prep.net, prep.bounds, target, Variant.parse(name))
+        prob = build_relaxation(prep.net, prep.bounds, target, Variant(name))
         for p in (prob, apply_dscale(prob, prep.bounds)):
             std = to_standard_form(p)
             out += [p, std, build_strict_feasibility(std)]
@@ -630,7 +630,7 @@ def test_every_relaxation_row_is_a_hub_row(tiny_net):
              (prep.net, prep.bounds, _competitors(prep, None)[0])]
     for net, bounds, target in cases:
         for name in VARIANT_NAMES:
-            prob = build_relaxation(net, bounds, target, Variant.parse(name))
+            prob = build_relaxation(net, bounds, target, Variant(name))
             for p in (prob, apply_dscale(prob, bounds)):
                 assert 0 in _hubs(p.objective[0])
                 for c in p.constraints:

@@ -410,7 +410,7 @@ def test_schur_assembly_matches_per_constraint_loop(monkeypatch):
     prep = prepare_instance(net, center, 0.1)
     target = _competitors(prep, None)[0]
     problems = []
-    for variant in (Variant.base(), Variant.epsilon(), Variant.bremove()):
+    for variant in (Variant.base(), Variant("eps"), Variant("bremove")):
         _, std = _relaxation(prep, target, variant)
         problems.append(std)
     problems.append(build_strict_feasibility(problems[0]))
