@@ -11,10 +11,12 @@ and its inscribed-ball form (the same plus a free block).  For each form
 it times the Schur assembly `solver._schur` at the final iterate and one
 full `solver.solve`; on the margin form also one step-length call
 `solver._max_step_psd` at the final iterate and the constraint compile
-`solver._compile`.  It also times one solve and one compile of the first
-linear program that `oracle.exact_gamma` hands the solver on the
-depth-2, width-8, seed-0 fixture (diagonal blocks of 2, 1 and 6 slacks,
-which compile to one diagonal cone of 9; 6 constraints).  The layers
+`solver._compile`.  It also times one solve of the first linear program
+that `oracle.exact_gamma` hands the solver on the depth-2, width-8,
+seed-0 fixture (diagonal blocks of 2, 1 and 6 slacks; 6 constraints),
+and that solve's data build `solver._lp_data`: its blocks are all
+diagonal, so it runs on the dense LP path, which builds one dense A of
+6 x 9 instead of calling `_compile`.  The layers
 before the solver are timed on the same depth-12 instance:
 `build_relaxation`, `to_standard_form` of its result and
 `build_strict_feasibility` of that; and one whole `exact_gamma` on the
@@ -68,8 +70,9 @@ from sdpverify.sdpform import (  # noqa: E402
 # OpenBLAS threads on a 2-core x86-64 machine.
 EXPECTED = {"margin": ("Optimal", 32), "radius": ("Optimal", 32)}
 LP_EXPECTED = ("Optimal", 15)
-# exact_gamma on the depth-2 fixture, bit for bit
-GAMMA_EXPECTED = -0.012376198115789546
+# exact_gamma on the depth-2 fixture, bit for bit, with the oracle's LPs on
+# the dense LP path
+GAMMA_EXPECTED = -0.01237619811578957
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +151,9 @@ def test_compile_margin(benchmark, forms):
 
 def test_compile_oracle_lp(benchmark, oracle_lp):
     prob, config = oracle_lp
-    compiled = benchmark.pedantic(solver._compile, args=(prob,), rounds=500,
-                                  iterations=1, warmup_rounds=5)
-    assert [(cb.kind, cb.dim) for cb in compiled] == [("diag", 9)]
+    A, c, cuts = benchmark.pedantic(solver._lp_data, args=(prob,), rounds=500,
+                                    iterations=1, warmup_rounds=5)
+    assert A.shape == (6, 9) and c.shape == (9,) and list(cuts) == [2, 3]
     sol = solver.solve(prob, config)
     assert (sol.status, sol.iterations) == LP_EXPECTED
 

@@ -472,6 +472,10 @@ def _add_instance_flags(p):
     p.add_argument("--net", required=True, help="network JSON file or fixture manifest")
     p.add_argument("--input", help="comma floats, @file.json, or manifest entry index")
     p.add_argument("--rho", type=float, required=True, help="input box half-width")
+
+
+def _add_prepare_flags(p):
+    """verify and diagnose; compare always prunes and never rescales."""
     p.add_argument("--wscale", action="store_true",
                    help="normalize hidden-layer row norms before verifying")
     p.add_argument("--no-prune", action="store_true",
@@ -513,12 +517,14 @@ def _build_parser():
 
     pv = sub.add_parser("verify", help="verify label robustness on an input box")
     _add_instance_flags(pv)
+    _add_prepare_flags(pv)
     _add_variant_flags(pv)
     _add_output_flags(pv)
     _add_per_target_flags(pv)
 
     pd = sub.add_parser("diagnose", help="measure strict feasibility of the relaxation")
     _add_instance_flags(pd)
+    _add_prepare_flags(pd)
     _add_variant_flags(pd)
     _add_output_flags(pd)
 

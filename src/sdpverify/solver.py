@@ -66,6 +66,22 @@ place, one block after another: summing it over the blocks first and
 adding the sum once rounds differently, which on the benchmark's request
 pools changes every final iterate and some iteration counts and statuses.
 
+A problem whose blocks are all diagonal is a linear program, and `solve`
+hands it to `_solve_lp`; a problem with any psd or free block takes the
+general loop `_solve_blocks`.  The choice reads only the block kinds.
+The exact oracle's LPs are tiny (3 to 7 constraints over at most a dozen
+columns in the benchmark's pool), so numpy's per-call cost, not
+arithmetic, sets their time: the LP path builds a dense A (m, n) and c
+once from the constraint terms, with no compile, csr arrays or sparsity
+pattern, and then A x, A^T y and the Schur matrix (A diag(x/s)) A^T are
+one BLAS call each.  It runs the same predictor-corrector on the vectors
+x, s and y (mu_0, _TAU, the stall rule, the best-iterate fallback,
+`history` and the per-block solution all as above) and shares the input
+checks, mu_0 and the Unbounded threshold with the general loop through
+`_checked_start`.  Its dense products and dot products round differently
+from the csr kernels and sums, so its iterates are not bit for bit those
+of the general loop, which stays the tests' reference for LPs.
+
 Everything is deterministic: same problem and config, same iterates.
 A solve does no I/O: it records each iteration's mu, residuals and gap
 in the solution's `history`, which the CLI prints when IPV_LOG is set.
@@ -74,6 +90,7 @@ in the solution's `history`, which the CLI prints when IPV_LOG is set.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -392,16 +409,38 @@ def _matvecs(A, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_coefficient(compiled, bvec: np.ndarray) -> float:
-    """Largest magnitude in C, A and b; a non-finite entry is a ValueError."""
+def _max_coefficient(cs: list, avals: list, bvec: np.ndarray) -> float:
+    """Largest magnitude in C (the arrays `cs`), A (`avals`) and b; a
+    non-finite entry is a ValueError."""
     best = 0.0
-    for name, arrays in (("C", [cb.C for cb in compiled]),
-                         ("A", [cb.Avec.data for cb in compiled]), ("b", [bvec])):
+    for name, arrays in (("C", cs), ("A", avals), ("b", [bvec])):
         tops = [float(np.abs(a).max()) for a in arrays if np.size(a)]
         if not np.isfinite(tops).all():
             raise ValueError(f"problem data {name} is not finite")
         best = max([best, *tops])
     return best
+
+
+def _checked_start(prob: SdpProblem, n_cone: int, cs: list, avals: list,
+                   bvec: np.ndarray) -> tuple[float, float, float]:
+    """(mu_0, Unbounded threshold, dual residual scale) of `prob`, whose C
+    and A values either solve path holds in the arrays `cs` and `avals`,
+    with `n_cone` cone coordinates.  A problem the iteration cannot start
+    on is a ValueError: not in standard form, a free block but no
+    constraint, no cone, non-finite data, or a start whose <X, S> = n
+    mu_0^2 overflows."""
+    if any(c.sense != "=" for c in prob.constraints):
+        raise ValueError("solver expects standard form (equalities only)")
+    if not prob.constraints and any(blk.kind == "free" for blk in prob.blocks):
+        raise ValueError("a free block needs at least one constraint")
+    if n_cone == 0:
+        raise ValueError("problem needs at least one cone block")
+    cmax = _max_coefficient(cs, avals, bvec)
+    mu0 = max(1.0, 100.0 * cmax)
+    if not np.isfinite(n_cone * mu0 * mu0):
+        raise ValueError(f"problem data too large: the start's <X, S> = n mu_0^2 "
+                         f"overflows at mu_0 = {mu0:.3g}")
+    return mu0, _UNBOUNDED_OBJ * max(1.0, cmax), _dual_scale(cs)
 
 
 def _apply_AT(cb: _CompiledBlock, y: np.ndarray):
@@ -438,9 +477,10 @@ def _dual_residuals(compiled, y, sblocks):
     return [cb.C - sb - _apply_AT(cb, y) for cb, sb in zip(compiled, sblocks)]
 
 
-def _dual_scale(compiled):
-    """1 + ||C||_F, the denominator of the scaled dual residual."""
-    return 1.0 + np.sqrt(sum(float((cb.C**2).sum()) for cb in compiled))
+def _dual_scale(cs: list):
+    """1 + ||C||_F over the arrays `cs`, the denominator of the scaled dual
+    residual."""
+    return 1.0 + np.sqrt(sum(float((C**2).sum()) for C in cs))
 
 
 def _residual_triplet(compiled, bvec, dscale, xblocks, y, rd_blocks):
@@ -500,10 +540,10 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 def _chol_factor_schur(M: np.ndarray):
     if not np.isfinite(M).all():
         raise _NumericalProblem("non-finite Schur complement")
-    scale = max(1.0, float(np.abs(np.diag(M)).max())) if M.size else 1.0
     L = _potrf(M, clean=0)
     if L is not None:
         return L
+    scale = max(1.0, float(np.abs(np.diag(M)).max())) if M.size else 1.0
     eye = np.eye(M.shape[0])
     for reg in _REG_LADDER:
         L = _potrf(M + reg * scale * eye, clean=0)
@@ -564,6 +604,19 @@ def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
     return float((-x[neg] / dx[neg]).min())
 
 
+def _ratio_steps(x: np.ndarray, dx: np.ndarray, s: np.ndarray, ds: np.ndarray,
+                 frac: float) -> tuple[float, float]:
+    """min(1, frac * _max_step_diag(x, dx)) and the same for (s, ds), by one
+    ratio test over both pairs: the same values in fewer numpy calls."""
+    d = np.concatenate((dx, ds))
+    if not np.isfinite(d).all():
+        raise _NumericalProblem("non-finite direction")
+    t = np.divide(np.concatenate((x, s)), d, out=np.full(d.size, -np.inf),
+                  where=d < 0.0)
+    p, q = np.maximum.reduceat(t, (0, x.size)).tolist()
+    return min(1.0, -frac * p), min(1.0, -frac * q)
+
+
 def _max_step(compiled, cones, dxblocks) -> float:
     """Largest step along `dxblocks`; `cones`: psd factors, diagonal iterates."""
     step = np.inf
@@ -585,31 +638,135 @@ def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     both cones for three consecutive iterations also ends the run with
     MaxIterations.  Its `history` holds one (mu, pres, dres, gap) row per
     iteration started.  A non-finite entry in C, A or b is a ValueError,
-    and so is data large enough that the start's <X, S> overflows.
+    and so is data large enough that the start's <X, S> overflows.  A
+    problem whose blocks are all diagonal runs on the dense LP path
+    (module docstring).
     """
-    if any(c.sense != "=" for c in prob.constraints):
-        raise ValueError("solver expects standard form (equalities only)")
-    m = prob.num_constraints
-    if m == 0 and any(blk.kind == "free" for blk in prob.blocks):
-        raise ValueError("a free block needs at least one constraint")
     cfg = config or SolverConfig()
+    if all(blk.kind == "diag" for blk in prob.blocks):
+        return _solve_lp(prob, cfg)
+    return _solve_blocks(prob, cfg)
+
+
+def _lp_data(prob: SdpProblem):
+    """Dense A (m, n) and c of an all-diagonal problem, whose blocks'
+    columns follow one another in block order, and where each block but
+    the first starts.  Entries at one place add up in entry order."""
+    offsets = np.cumsum([0] + [blk.dim for blk in prob.blocks])
+    c = np.zeros(int(offsets[-1]))
+    for b, mat in prob.objective.items():
+        np.add.at(c, mat.row + offsets[b], mat.data)
+    A = np.zeros((prob.num_constraints, c.size))
+    terms = [(j, b, mat) for j, cons in enumerate(prob.constraints)
+             for b, mat in cons.terms.items()]
+    if terms:
+        np.add.at(A, (np.repeat([j for j, _, _ in terms],
+                                [mat.data.size for _, _, mat in terms]),
+                      np.concatenate([mat.row + offsets[b] for _, b, mat in terms])),
+                  np.concatenate([mat.data for _, _, mat in terms]))
+    return A, c, offsets[1:-1]
+
+
+# A diverging iterate makes dense products warn where the general loop's
+# csr kernels stay silent; a non-finite direction still ends the solve as
+# NumericalFailure.
+@np.errstate(invalid="ignore", over="ignore")
+def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
+    """`_solve_blocks`'s iteration on an all-diagonal problem, with x, s
+    and y as vectors and A dense (module docstring)."""
+    A, c, cuts = _lp_data(prob)
+    m, n = A.shape
+    bvec = prob.rhs_vector()
+    mu0, unbounded_obj, dscale = _checked_start(prob, n, [c], [A], bvec)
+    bscale = 1.0 + np.abs(bvec)
+    x, s, y = np.full(n, mu0), np.full(n, mu0), np.zeros(m)
+    history = []
+
+    def measure():
+        """R_d, pres, dres, gap, primal and dual objective at (x, y, s)."""
+        rd = c - s - A.T @ y
+        pres = float((np.abs(A @ x - bvec) / bscale).max()) if m else 0.0
+        dres = math.sqrt(rd @ rd) / dscale
+        pobj = float(c @ x)
+        dobj = float(bvec @ y)
+        return rd, pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj)), pobj, dobj
+
+    def snapshot(status: str, k: int) -> SdpSolution:
+        _, pres, dres, gap, pobj, dobj = measure()
+        return SdpSolution(status, np.split(x, cuts), y, np.split(s, cuts), pobj,
+                           dobj, gap, pres, dres, k, history)
+
+    best_score, best_state = np.inf, None
+
+    def fallback(status: str, k: int) -> SdpSolution:
+        nonlocal x, y, s
+        if best_state is not None and best_score < max(measure()[1:4]):
+            x, y, s = best_state
+        return snapshot(status, k)
+
+    stall = k = 0
+    try:
+        for k in range(cfg.max_iter):
+            rd, pres, dres, gap, pobj, _ = measure()
+            mu = float(x @ s) / n
+            history.append((mu, pres, dres, gap))
+            if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
+                return snapshot(OPTIMAL, k)
+            if pobj < unbounded_obj:
+                return snapshot(UNBOUNDED, k)
+            score = max(pres, dres, gap)
+            if score < best_score:
+                best_score, best_state = score, (x, y, s)
+
+            sinv, w = 1.0 / s, x / s
+            if m:
+                M = (A * w) @ A.T
+                factor = _chol_factor_schur((M + M.T) / 2.0)
+            a_sinv = A @ sinv
+            g_rd = A @ (w * rd)
+
+            def newton(sigma_mu: float, corr):
+                rhs = bvec - sigma_mu * a_sinv + g_rd
+                if corr is not None:
+                    rhs += A @ corr
+                dy = _potrs(factor, rhs) if m else rhs  # empty
+                ds = rd - A.T @ dy
+                dx = sigma_mu * sinv - x - w * ds
+                return (dx if corr is None else dx - corr), dy, ds
+
+            dxa, _, dsa = newton(0.0, None)
+            ap_aff, ad_aff = _ratio_steps(x, dxa, s, dsa, 1.0)
+            mu_aff = max(float((x + ap_aff * dxa) @ (s + ad_aff * dsa)) / n, 0.0)
+            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+
+            dx, dy, ds = newton(sigma * mu, dxa * dsa * sinv)
+            ap, ad = _ratio_steps(x, dx, s, ds, _TAU)
+            if ap < _STALL_STEP and ad < _STALL_STEP:
+                stall += 1
+                if stall >= 3:
+                    return fallback(MAX_ITERATIONS, k)
+            else:
+                stall = 0
+            x, s, y = x + ap * dx, s + ad * ds, y + ad * dy
+    except _NumericalProblem:
+        return fallback(NUMERICAL_FAILURE, k)
+
+    return fallback(MAX_ITERATIONS, cfg.max_iter)
+
+
+def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
+    """The iteration over compiled blocks of any kind (module docstring)."""
+    m = prob.num_constraints
     compiled = _compile(prob)
     bvec = prob.rhs_vector()
     n_cone = sum(cb.dim for cb in compiled if cb.kind != "free")
-    if n_cone == 0:
-        raise ValueError("problem needs at least one cone block")
+    mu0, unbounded_obj, dscale = _checked_start(
+        prob, n_cone, [cb.C for cb in compiled], [cb.Avec.data for cb in compiled],
+        bvec)
     free = [bi for bi, cb in enumerate(compiled) if cb.kind == "free"]
     if free:
         Bfree = np.hstack([_dense(compiled[bi].Avec) for bi in free])
         free_cuts = np.cumsum([compiled[bi].dim for bi in free])[:-1]
-
-    dscale = _dual_scale(compiled)
-    cmax = _max_coefficient(compiled, bvec)
-    mu0 = max(1.0, 100.0 * cmax)
-    unbounded_obj = _UNBOUNDED_OBJ * max(1.0, cmax)
-    if not np.isfinite(n_cone * mu0 * mu0):
-        raise ValueError(f"problem data too large: the start's <X, S> = n mu_0^2 "
-                         f"overflows at mu_0 = {mu0:.3g}")
 
     def start(blk):
         # mu_0 I on the cones; a free block and its dual slack start at

@@ -222,8 +222,9 @@ def residuals(prob: SdpProblem, xblocks, y, sblocks) -> tuple[float, float, floa
     compiled = _compile(prob)
     xblocks, sblocks = _join(compiled, xblocks), _join(compiled, sblocks)
     y = np.asarray(y, dtype=float)
+    dscale = _dual_scale([cb.C for cb in compiled])
     pres, dres, gap, _, _ = _residual_triplet(
-        compiled, prob.rhs_vector(), _dual_scale(compiled), xblocks, y,
+        compiled, prob.rhs_vector(), dscale, xblocks, y,
         _dual_residuals(compiled, y, sblocks),
     )
     return pres, dres, gap

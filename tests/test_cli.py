@@ -376,6 +376,8 @@ def test_flags_that_set_nothing_are_gone(tmp_path, capsys):
     inst = ["--net", path, "--input", "1.0", "--rho", "0.5"]
     for argv in (["verify", *inst, "--all-targets"],
                  ["compare", *inst, "--all-targets"],
+                 ["compare", *inst, "--no-prune"],
+                 ["compare", *inst, "--wscale"],
                  ["diagnose", *inst, "--format", "json"]):
         assert main(argv) == 3
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -39,6 +39,7 @@ from sdpverify.solver import (
     _potrf,
     _potrs,
     _psd_inverse,
+    _ratio_steps,
     _schur,
     _trtrs,
     solve,
@@ -195,18 +196,20 @@ def test_two_free_blocks_around_a_cone_block():
 
 
 def test_overflowing_start_is_rejected():
-    # finite data, but mu_0 = 1e162 makes the start's <X, S> = 4 mu_0^2 inf
-    prob = SdpProblem(
-        blocks=(Block("psd", 2), Block("diag", 2)),
-        objective={},
-        obj_offset=0.0,
-        constraints=[
-            Constraint({0: coo(np.eye(2))}, 1e160, "=", "big"),
-            Constraint({1: coo(np.eye(2))}, 1.0, "=", "unit"),
-        ],
-    )
-    with pytest.raises(ValueError, match="overflows at mu_0 = 1e\\+162"):
-        solve(prob, SolverConfig())
+    # finite data, but mu_0 = 1e162 makes the start's <X, S> = 4 mu_0^2 inf;
+    # with two diagonal blocks the problem takes the LP path
+    for kind in ("psd", "diag"):
+        prob = SdpProblem(
+            blocks=(Block(kind, 2), Block("diag", 2)),
+            objective={},
+            obj_offset=0.0,
+            constraints=[
+                Constraint({0: coo(np.eye(2))}, 1e160, "=", "big"),
+                Constraint({1: coo(np.eye(2))}, 1.0, "=", "unit"),
+            ],
+        )
+        with pytest.raises(ValueError, match="overflows at mu_0 = 1e\\+162"):
+            solve(prob, SolverConfig())
 
 
 def test_rejects_non_standard_and_coneless_problems():
@@ -242,11 +245,13 @@ def test_rejects_non_standard_and_coneless_problems():
 def test_rejects_non_finite_data(c, a, b, bad):
     """Data that overflowed upstream is named before the first iteration,
     not solved into an infinite iterate; a NaN counts too, though a plain
-    max over the data would skip it."""
-    prob = _simple({0: coo(c * np.eye(2))},
-                   [Constraint({0: coo(a * np.eye(2))}, b, "=", "tr")])
-    with pytest.raises(ValueError, match=f"problem data {bad} is not finite"):
-        solve(prob, SolverConfig())
+    max over the data would skip it.  A diagonal block takes the LP path."""
+    for kind in ("psd", "diag"):
+        prob = _simple({0: coo(c * np.eye(2))},
+                       [Constraint({0: coo(a * np.eye(2))}, b, "=", "tr")],
+                       blocks=(Block(kind, 2),))
+        with pytest.raises(ValueError, match=f"problem data {bad} is not finite"):
+            solve(prob, SolverConfig())
 
 
 def test_solve_leaves_the_problem_unchanged():
@@ -385,26 +390,36 @@ def _hand_built():
                       constraints=cons)
 
 
-def _oracle_lp(monkeypatch, nblocks=2):
-    """The first standard-form LP of `nblocks` blocks that `exact_gamma`
-    solves on a depth-2 fixture.  With two, a minimum LP: a diag block of 2
-    whose columns have 4 nonzeros each, and a diag slack block; with three,
-    a margin LP, whose margin variable is a diag block of 1 between them."""
-    net, center = random_instance(2, 8, seed=0)
+def _oracle_lps(depth=2, seed=0, every_target=False):
+    """(problem, config) of each LP that `exact_gamma` hands the solver on
+    the oracle-lp benchmark's width-8, rho-0.1 fixture of `depth` and
+    `seed`, against its first competitor label or every one."""
+    net, center = random_instance(depth, 8, seed=seed)
     prep = prepare_instance(net, center, 0.1)
+    targets = _competitors(prep, None)
     seen = []
     real = solver.solve
 
     def record(prob, config=None):
-        seen.append(prob)
+        seen.append((prob, config))
         return real(prob, config)
 
-    monkeypatch.setattr(solver, "solve", record)
-    oracle.exact_gamma(prep.net, prep.bounds, _competitors(prep, None)[0])
-    return next(p for p in seen if len(p.blocks) == nblocks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve", record)
+        for target in targets if every_target else targets[:1]:
+            oracle.exact_gamma(prep.net, prep.bounds, target)
+    return seen
 
 
-def test_schur_assembly_matches_per_constraint_loop(monkeypatch):
+def _oracle_lp(nblocks=2):
+    """The first standard-form LP of `nblocks` blocks that `exact_gamma`
+    solves on the depth-2 fixture.  With two, a minimum LP: a diag block of 2
+    whose columns have 4 nonzeros each, and a diag slack block; with three,
+    a margin LP, whose margin variable is a diag block of 1 between them."""
+    return next(p for p, _ in _oracle_lps() if len(p.blocks) == nblocks)
+
+
+def test_schur_assembly_matches_per_constraint_loop():
     """The batched assembly repeats the column loop's arithmetic bit for bit."""
     net, center = random_instance(12, 8, seed=0)
     prep = prepare_instance(net, center, 0.1)
@@ -418,7 +433,7 @@ def test_schur_assembly_matches_per_constraint_loop(monkeypatch):
     for _ in range(3):
         problems.append(planted_instance(rng, (5, 3), (4,))[0])
     problems.append(_hand_built())
-    lp = _oracle_lp(monkeypatch)
+    lp = _oracle_lp()
     assert [b.kind for b in lp.blocks] == ["diag", "diag"]
     # every column of the first block holds more than one nonzero
     assert np.diff(_compile(lp)[0].AvecT.indptr)[:lp.blocks[0].dim].min() > 1
@@ -457,10 +472,10 @@ def _one_diagonal_block(prob):
     )
 
 
-def test_solve_ignores_how_the_orthant_is_split(monkeypatch):
+def test_solve_ignores_how_the_orthant_is_split():
     """The oracle's margin LP solves the same with its diagonal blocks of 2,
     1 and the slacks as with their columns in one block, to the last bit."""
-    lp = _oracle_lp(monkeypatch, nblocks=3)
+    lp = _oracle_lp(nblocks=3)
     assert [(b.kind, b.dim) for b in lp.blocks[:2]] == [("diag", 2), ("diag", 1)]
     assert lp.blocks[2].kind == "diag"
     split = solve(lp, oracle._LP_CONFIG)
@@ -473,6 +488,37 @@ def test_solve_ignores_how_the_orthant_is_split(monkeypatch):
     for mine, theirs in ((split.xblocks, one.xblocks), (split.sblocks, one.sblocks)):
         for a, b in zip(mine, np.split(theirs[0], cuts), strict=True):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key", ["L2/s0", "L2/s10", "L3/s1"])
+def test_lp_path_matches_the_general_loop(key):
+    """Every LP the oracle solves on the fixtures whose solves
+    perfbench/reference.json pins ends on the dense LP path as in the
+    general block loop, its reference: same status and iteration count,
+    the same objective to 1e-10, and the problem's block shapes."""
+    depth, seed = (int(part[1:]) for part in key.split("/"))
+    lps = _oracle_lps(depth, seed, every_target=True)
+    assert lps
+    for prob, config in lps:
+        dense = solver._solve_lp(prob, config)
+        general = solver._solve_blocks(prob, config)
+        assert (dense.status, dense.iterations) == (general.status, general.iterations)
+        assert dense.primal_obj == pytest.approx(general.primal_obj, rel=1e-10, abs=0.0)
+        shapes = [(blk.dim,) for blk in prob.blocks]
+        for blocks in (dense.xblocks, dense.sblocks):
+            assert [b.shape for b in blocks] == shapes
+
+
+@pytest.mark.parametrize("rhs, status", [(None, "Optimal"), (-1.0, "NumericalFailure")])
+def test_lp_path_ends_degenerate_lps_as_the_general_loop(rhs, status):
+    """An LP with no constraints, and an infeasible one (x >= 0 summing
+    to -1), end in the general loop's status on the LP path."""
+    cons = [] if rhs is None else [Constraint({0: coo(np.eye(2))}, rhs, "=", "sum")]
+    prob = _simple({0: coo(np.diag([1.0, 2.0]))}, cons,
+                   blocks=(Block("diag", 2), Block("diag", 1)))
+    dense = solver._solve_lp(prob, SolverConfig())
+    assert dense.status == solver._solve_blocks(prob, SolverConfig()).status == status
+    assert [b.shape for b in dense.xblocks] == [(2,), (1,)]
 
 
 def test_lapack_wrappers_match_scipy_bit_for_bit():
@@ -579,7 +625,8 @@ def test_first_solves_leave_numpy_ma_unimported():
 
 
 def test_diagonal_steps_merge_into_one_pass():
-    """The step over several blocks is the least of the blocks' own steps."""
+    """The step over several blocks is the least of the blocks' own steps,
+    and the LP path's paired ratio test gives each pair's own step."""
     rng = np.random.default_rng(50)
     kinds = ["diag", "psd", "diag", "free", "diag"]
     compiled = [SimpleNamespace(kind=k) for k in kinds]
@@ -593,6 +640,10 @@ def test_diagonal_steps_merge_into_one_pass():
         per_block = [_max_step_diag(x, dx) for x, dx in
                      zip(cones[::2], dirs[::2])] + [_max_step_psd(cones[1], dirs[1])]
         assert _max_step(compiled, cones, dirs) == min(per_block)
+        for frac in (1.0, _TAU):
+            pair = _ratio_steps(cones[0], dirs[0], cones[4], dirs[4], frac)
+            assert pair == tuple(min(1.0, frac * _max_step_diag(x, dx)) for x, dx
+                                 in ((cones[0], dirs[0]), (cones[4], dirs[4])))
     up = [np.abs(d) for d in dirs]
     up[1] = P
     assert _max_step(compiled, cones, up) == np.inf
@@ -601,6 +652,9 @@ def test_diagonal_steps_merge_into_one_pass():
         bad[bi] = np.full_like(dirs[bi], np.nan)
         with pytest.raises(_NumericalProblem):
             _max_step(compiled, cones, bad)
+    with pytest.raises(_NumericalProblem):
+        _ratio_steps(cones[0], dirs[0], cones[2], np.array([np.nan]), 1.0)
+    assert _ratio_steps(cones[0], np.abs(dirs[0]), cones[2], up[2], _TAU) == (1.0, 1.0)
 
 
 def test_cone_factor_rejects_indefinite_iterate():
