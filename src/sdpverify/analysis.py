@@ -128,7 +128,6 @@ class VerificationReport:
     rho: float
     variant: str
     targets: list
-    bound_method: str = "ibp"
     pruned_neurons: int = 0
     layer_sizes: list = field(default_factory=list)
     dscale: bool = False
@@ -149,7 +148,6 @@ class BoundReport:
     iterations: int
     min_eig_bound: float
     trace_bounds: list
-    bound_method: str = "ibp"
     pruned_neurons: int = 0
     layer_sizes: list = field(default_factory=list)
 

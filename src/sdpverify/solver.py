@@ -17,10 +17,10 @@ Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
 rows r_j, so column j of M needs only V_j = X[:, r_j] (A_j[r_j, :] S^{-1}),
 formed in one stacked product per chunk of constraints with as many rows.
-The diagonal cone adds Avec diag(x/s) Avec^T, whose sparsity pattern is
+A diagonal block adds Avec diag(x/s) Avec^T, whose sparsity pattern is
 found once per solve, so each iteration costs one weighted bincount.  One
 Cholesky factor each of X and S per iteration serves S^{-1} and all four
-step lengths; on the diagonal cone a step length is one ratio test.
+step lengths; on a diagonal block a step length is one ratio test.
 Factorizations, solves and eigenvalues call LAPACK directly with the
 arguments scipy.linalg would pass, and sparse products A @ x call
 scipy's csr_matvec and csr_matvecs kernels directly as scipy.sparse
@@ -35,17 +35,12 @@ private names keep a later import of scipy.sparse intact: an extension
 loaded under its scipy.* name would already sit in sys.modules when
 scipy.sparse imports it, and would not be bound as its attribute.
 
-The constraint data is compiled once per solve from all (constraint,
-row, col, value) triplets of a block at once: sorted by (constraint,
-row, col) with duplicates summed in entry order, then laid out as csr
-arrays with one row per constraint.  All diagonal blocks of a problem
-compile into one diagonal cone at the first one's place, their columns
-one after another, as SDPA and SDPT3 keep every linear variable in one
-LP block: an iteration then handles one vector for them, however many
-blocks the problem has.  The solution splits the final iterate back into
-the problem's blocks.  A problem with one diagonal block compiles as that
-block alone; with several, sums over the cone such as mu and <C, X> run
-over one vector and round differently from sums block by block.
+The constraint data is compiled once per solve, per problem block and in
+block order, from all (constraint, row, col, value) triplets of the block
+at once: sorted by (constraint, row, col) with duplicates summed in entry
+order, then laid out as csr arrays with one row per constraint.  The
+iterates are held per problem block too, so the solution hands back the
+final iterate as it is.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -214,11 +209,9 @@ class _Csr(NamedTuple):
 class _CompiledBlock:
     """Per-block constraint data in solver-friendly form."""
 
-    def __init__(self, kind, dim, C, Avec, AvecT, chunks, blocks, cuts):
+    def __init__(self, kind, dim, C, Avec, AvecT, chunks):
         self.kind = kind
         self.dim = dim
-        self.blocks = blocks  # the problem blocks it holds, in order
-        self.cuts = cuts  # where each but the first of them starts
         self.C = C  # dense (d, d) for psd, (d,) for diag
         self.Avec = Avec  # csr: (m, d*d) for psd, (m, d) for diag
         self.AvecT = AvecT  # csr: Avec.T
@@ -316,42 +309,26 @@ def _psd_chunks(present, j, row, col, val, d, m):
 
 
 def _compile(prob: SdpProblem):
-    """Per-block constraint data, with every diagonal block of `prob` in one
-    diagonal cone at the first one's place: their columns follow one
-    another in block order, and `_join` and `_split` map iterates between
-    the two layouts."""
+    """One `_CompiledBlock` per block of `prob`, in block order; an
+    all-diagonal problem takes `_solve_lp` and `_lp_data` instead."""
     m = prob.num_constraints
-    diag = [bidx for bidx, blk in enumerate(prob.blocks) if blk.kind == "diag"]
     compiled = []
     for bidx, blk in enumerate(prob.blocks):
-        if blk.kind == "diag" and bidx != diag[0]:
-            continue
+        d = blk.dim
         psd = blk.kind == "psd"
-        group = diag if blk.kind == "diag" else [bidx]
-        sizes = [prob.blocks[b].dim for b in group]
-        offsets = np.cumsum(sizes) - sizes
-        d = int(sum(sizes))
-
-        def shifted(terms):
-            # the group's terms, each moved to its block's columns in the cone
-            return [mat._replace(row=mat.row + off, col=mat.col + off,
-                                 shape=(d, d)) if off else mat
-                    for b, off in zip(group, offsets)
-                    if (mat := terms.get(b)) is not None]
-
-        cterms = shifted(prob.objective)
+        cmat = prob.objective.get(bidx)
         if psd:
-            C = cterms[0].toarray() if cterms else np.zeros((d, d))
+            C = cmat.toarray() if cmat is not None else np.zeros((d, d))
         else:
             C = np.zeros(d)
-            if cterms:
-                np.add.at(C, np.concatenate([c.row for c in cterms]),
-                          np.concatenate([c.data for c in cterms]))
+            if cmat is not None:
+                np.add.at(C, cmat.row, cmat.data)
         present, mats = [], []
         for j, cons in enumerate(prob.constraints):
-            terms = shifted(cons.terms)
-            present += [j] * len(terms)
-            mats += terms
+            mat = cons.terms.get(bidx)
+            if mat is not None:
+                present.append(j)
+                mats.append(mat)
         present = np.array(present, dtype=np.int64)
         j, row, col, val = _triplets(present, mats)
         # the csr arrays tocsr gives: entries by (j, column); transposed,
@@ -362,24 +339,8 @@ def _compile(prob: SdpProblem):
         by_col = np.argsort(idx, kind="stable")
         AvecT = _csr(val[by_col], j[by_col], idx[by_col], (ncols, m))
         chunks = _psd_chunks(present, j, row, col, val, d, m) if psd else None
-        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, AvecT, chunks,
-                                       tuple(group), offsets[1:]))
+        compiled.append(_CompiledBlock(blk.kind, d, C, Avec, AvecT, chunks))
     return compiled
-
-
-def _join(compiled, blocks: list) -> list:
-    """Per-problem-block arrays in the compiled layout: a diagonal cone
-    concatenates its blocks' vectors."""
-    return [np.concatenate([blocks[b] for b in cb.blocks])
-            if len(cb.blocks) > 1 else blocks[cb.blocks[0]] for cb in compiled]
-
-
-def _split(compiled, cblocks: list) -> list:
-    """Compiled-layout arrays back as one per problem block, in block order."""
-    out = {}
-    for cb, arr in zip(compiled, cblocks):
-        out.update(zip(cb.blocks, np.split(arr, cb.cuts) if cb.cuts.size else [arr]))
-    return [out[b] for b in sorted(out)]
 
 
 def _matvec(A, x: np.ndarray) -> np.ndarray:
@@ -775,8 +736,8 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             return np.eye(blk.dim) * mu0
         return np.full(blk.dim, mu0 if blk.kind == "diag" else 0.0)
 
-    xblocks = _join(compiled, [start(blk) for blk in prob.blocks])
-    sblocks = _join(compiled, [start(blk) for blk in prob.blocks])
+    xblocks = [start(blk) for blk in prob.blocks]
+    sblocks = [start(blk) for blk in prob.blocks]
     y = np.zeros(m)
     history = []
 
@@ -786,9 +747,9 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         )
         return SdpSolution(
             status=status,
-            xblocks=_split(compiled, xblocks),
+            xblocks=xblocks,
             y=y,
-            sblocks=_split(compiled, sblocks),
+            sblocks=sblocks,
             primal_obj=pobj,
             dual_obj=dobj,
             gap=gap,

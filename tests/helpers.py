@@ -14,7 +14,6 @@ from sdpverify.solver import (
     _compile,
     _dual_residuals,
     _dual_scale,
-    _join,
     _residual_triplet,
 )
 
@@ -220,7 +219,6 @@ def residuals(prob: SdpProblem, xblocks, y, sblocks) -> tuple[float, float, floa
     """
     assert len(xblocks) == len(sblocks) == len(prob.blocks)
     compiled = _compile(prob)
-    xblocks, sblocks = _join(compiled, xblocks), _join(compiled, sblocks)
     y = np.asarray(y, dtype=float)
     dscale = _dual_scale([cb.C for cb in compiled])
     pres, dres, gap, _, _ = _residual_triplet(

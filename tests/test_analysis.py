@@ -118,6 +118,8 @@ def test_reports_serialize_to_json():
         targets=[_result()], layer_sizes=[1, 1, 2],
     )
     data = json.loads(rep.to_json())
+    assert sorted(data) == ["dscale", "layer_sizes", "predicted", "pruned_neurons",
+                            "rho", "targets", "variant", "verdict", "wscale"]
     assert data["verdict"] == "Robust"
     assert data["targets"][0]["gamma"] == pytest.approx(0.3)
     assert data["targets"][0]["iterations"] == 9
@@ -127,6 +129,9 @@ def test_reports_serialize_to_json():
         trace_bounds=[np.float64(2.25), np.float64(3.25)],
     )
     data = json.loads(bound.to_json())
+    assert sorted(data) == ["gap", "iterations", "lambda_star", "layer_sizes",
+                            "min_eig_bound", "pruned_neurons", "status",
+                            "trace_bounds", "variant"]
     assert data["lambda_star"] == pytest.approx(0.25)
     assert data["trace_bounds"] == [2.25, 3.25]
 

@@ -13,8 +13,19 @@ import scipy.sparse as sp
 
 from helpers import coo, planted_instance, residuals, validate
 from sdpverify import oracle, solver
-from sdpverify.cli import _competitors, _relaxation, prepare_instance, random_instance
+from sdpverify.cli import (
+    SweepSpec,
+    _competitors,
+    _relaxation,
+    prepare_instance,
+    random_instance,
+    run_compare,
+    run_diagnose,
+    run_sweep,
+    run_verify,
+)
 from sdpverify.sdpform import (
+    VARIANT_NAMES,
     Block,
     Constraint,
     Coo,
@@ -291,8 +302,9 @@ def test_solution_reports_are_consistent():
 
 
 def test_diagonal_blocks_around_a_psd_block():
-    """Diagonal blocks on both sides of a psd block compile into one cone,
-    and the solution hands them back in the problem's order and shapes."""
+    """Diagonal blocks on both sides of a psd block compile as three blocks
+    in the problem's order, and the solution hands them back in that order
+    and their shapes."""
     rng = np.random.default_rng(51)
     planted, opt, _ = planted_instance(rng, (3,), (2, 4))
     order = [1, 0, 2]  # block k of the new problem is block order[k]
@@ -307,7 +319,8 @@ def test_diagonal_blocks_around_a_psd_block():
         constraints=[Constraint(moved(c.terms), c.rhs, c.sense, c.label)
                      for c in planted.constraints],
     )
-    assert [(cb.kind, cb.dim) for cb in _compile(prob)] == [("diag", 6), ("psd", 3)]
+    assert [(cb.kind, cb.dim) for cb in _compile(prob)] == [
+        ("diag", 2), ("psd", 3), ("diag", 4)]
     sol = solve(prob, SolverConfig())
     assert sol.status == "Optimal"
     assert abs(sol.primal_obj - opt) <= 1e-6 * (1.0 + abs(opt))
@@ -324,7 +337,7 @@ def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
     batched `_schur` replaced; kept to pin its floating-point operations."""
     m = prob.num_constraints
     M = np.zeros((m, m))
-    for cb, xb, sb, si in zip(compiled, xblocks, sblocks, sinv):
+    for bidx, (cb, xb, sb, si) in enumerate(zip(compiled, xblocks, sblocks, sinv)):
         A = sp.csr_matrix((cb.Avec.data, cb.Avec.indices, cb.Avec.indptr),
                           shape=cb.Avec.shape)
         if A.nnz == 0 or cb.kind == "free":
@@ -334,7 +347,7 @@ def _schur_by_constraint(prob, compiled, xblocks, sblocks, sinv):
             M += (weighted @ A.T).toarray()
             continue
         for j, cons in enumerate(prob.constraints):
-            mat = cons.terms.get(cb.blocks[0])
+            mat = cons.terms.get(bidx)
             if mat is None:
                 continue
             mat = Coo.of(*mat)
@@ -474,7 +487,9 @@ def _one_diagonal_block(prob):
 
 def test_solve_ignores_how_the_orthant_is_split():
     """The oracle's margin LP solves the same with its diagonal blocks of 2,
-    1 and the slacks as with their columns in one block, to the last bit."""
+    1 and the slacks as with their columns in one block, to the last bit:
+    both run `_solve_lp`, so this pins `_lp_data`'s column layout, which
+    joins the blocks' columns in block order."""
     lp = _oracle_lp(nblocks=3)
     assert [(b.kind, b.dim) for b in lp.blocks[:2]] == [("diag", 2), ("diag", 1)]
     assert lp.blocks[2].kind == "diag"
@@ -488,6 +503,31 @@ def test_solve_ignores_how_the_orthant_is_split():
     for mine, theirs in ((split.xblocks, one.xblocks), (split.sblocks, one.sblocks)):
         for a, b in zip(mine, np.split(theirs[0], cuts), strict=True):
             assert np.array_equal(a, b)
+
+
+def test_general_loop_sees_one_block_of_each_kind(monkeypatch):
+    """What compiling each block as itself rests on: through every entry
+    point of the pipeline, `_solve_blocks` gets a psd block and one slack
+    block, plus the radius problem's free block, and every LP of the exact
+    oracle runs `_solve_lp`."""
+    calls = []
+    for name in ("_solve_blocks", "_solve_lp"):
+        def record(prob, cfg, name=name, real=getattr(solver, name)):
+            kinds = tuple(blk.kind for blk in prob.blocks)
+            calls.append((name, cfg is oracle._LP_CONFIG, kinds))
+            return real(prob, cfg)
+
+        monkeypatch.setattr(solver, name, record)
+    net, center = random_instance(2, 8, seed=0)
+    for variant in map(Variant, VARIANT_NAMES):
+        for dscale in (False, True):
+            run_verify(net, center, 0.1, variant, dscale=dscale)
+            run_diagnose(net, center, 0.1, variant, dscale=dscale)
+    run_sweep(SweepSpec(depths=[2], seeds=[0], variants=["base"]))
+    run_compare(net, center, 0.1)
+    general = {kinds for name, _, kinds in calls if name == "_solve_blocks"}
+    assert general == {("psd", "diag"), ("psd", "diag", "free")}
+    assert {name for name, lp, _ in calls if lp} == {"_solve_lp"}
 
 
 @pytest.mark.parametrize("key", ["L2/s0", "L2/s10", "L3/s1"])
