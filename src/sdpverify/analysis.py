@@ -19,7 +19,7 @@ has tr(P) <= 1 + sum_i T_i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "min_eig_bound",
     "min_eigenvalue",
     "verdict",
+    "SolveSummary",
     "TargetResult",
     "VerificationReport",
     "BoundReport",
@@ -49,11 +50,11 @@ def trace_bounds(net: Network, center: np.ndarray, rho: float) -> np.ndarray:
         raise ValueError("center does not match network input dimension")
     if rho < 0:
         raise ValueError("rho must be non-negative")
-    H = net.num_hidden
-    T = np.empty(H + 1)
-    T[0] = (np.linalg.norm(center) + rho * np.sqrt(net.input_dim)) ** 2
-    for i in range(H):
-        T[i + 1] = (1.0 + T[i]) * float((net.extended(i) ** 2).sum())
+    T = np.empty(net.num_hidden + 1)
+    with np.errstate(over="ignore"):  # inf; the relaxation build rejects the box
+        T[0] = (np.linalg.norm(center) + rho * np.sqrt(net.input_dim)) ** 2
+        for i in range(net.num_hidden):
+            T[i + 1] = (1.0 + T[i]) * float((net.extended(i) ** 2).sum())
     return T
 
 
@@ -88,14 +89,30 @@ def min_eigenvalue(M: np.ndarray) -> float:
 
 
 @dataclass
-class TargetResult:
+class SolveSummary:
+    """How one solve ended; each report subclasses it for its own solve."""
+
+    status: str
+    iterations: int
+    gap: float
+
+    @classmethod
+    def of(cls, sol: _solver.SdpSolution, **fields):
+        """`cls` with `sol`'s status, iterations and gap, plus `fields`."""
+        return cls(status=sol.status, iterations=sol.iterations, gap=sol.gap,
+                   **fields)
+
+
+def _to_json(report) -> str:
+    return json.dumps(asdict(report), indent=2, sort_keys=True)
+
+
+@dataclass
+class TargetResult(SolveSummary):
     """Outcome of one verification solve against one competitor label."""
 
     target: int
     gamma: float
-    status: str
-    iterations: int
-    gap: float
     lambda_min: float
     runtime_ms: float
 
@@ -133,37 +150,32 @@ class VerificationReport:
     dscale: bool = False
     wscale: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+    to_json = _to_json
 
 
 @dataclass
-class BoundReport:
+class BoundReport(SolveSummary):
     """Strict-feasibility diagnosis for one network and box."""
 
     variant: str
     lambda_star: float
-    status: str
-    gap: float
-    iterations: int
     min_eig_bound: float
     trace_bounds: list
     pruned_neurons: int = 0
     layer_sizes: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+    to_json = _to_json
 
 
 @dataclass
-class SweepRow:
+class SweepRow(SolveSummary):
     """One sweep cell: a (depth, seed, variant) verification plus diagnosis.
 
-    `solution` is the margin solve behind `gamma`, `status`, `iterations`
-    and `gap`; it is not a CSV column.  `radius_status` and
-    `radius_iterations` belong to the inscribed-ball solve behind
-    `lambda_star`.  `runtime_ms` is the whole cell, the relaxation build
-    included; `radius_ms` and `margin_ms` time the two solves alone.
+    The summary fields are the margin solve's, the one behind `gamma`;
+    `solution` is that solve itself and not a CSV column.  `radius`
+    summarizes the inscribed-ball solve behind `lambda_star`.  `runtime_ms`
+    is the whole cell, the relaxation build included; `radius_ms` and
+    `margin_ms` time the two solves alone.
     """
 
     seed: int
@@ -171,12 +183,8 @@ class SweepRow:
     variant: str
     target: int
     gamma: float
-    status: str
-    iterations: int
-    gap: float
     lambda_star: float
-    radius_status: str
-    radius_iterations: int
+    radius: SolveSummary
     min_eig_bound: float
     runtime_ms: float
     radius_ms: float
@@ -186,7 +194,10 @@ class SweepRow:
     )
 
 
-SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "solution")
+SWEEP_CSV_COLUMNS = ("seed", "L", "variant", "target", "gamma", "status",
+                     "iterations", "gap", "lambda_star", "radius_status",
+                     "radius_iterations", "min_eig_bound", "runtime_ms",
+                     "radius_ms", "margin_ms")
 
 
 def format_csv(columns, rows) -> str:
@@ -203,6 +214,8 @@ def format_csv(columns, rows) -> str:
 
 
 def format_sweep_csv(rows: list[SweepRow]) -> str:
-    return format_csv(
-        SWEEP_CSV_COLUMNS, ([getattr(r, c) for c in SWEEP_CSV_COLUMNS] for r in rows)
-    )
+    return format_csv(SWEEP_CSV_COLUMNS, (
+        (r.seed, r.L, r.variant, r.target, r.gamma, r.status, r.iterations,
+         r.gap, r.lambda_star, r.radius.status, r.radius.iterations,
+         r.min_eig_bound, r.runtime_ms, r.radius_ms, r.margin_ms) for r in rows
+    ))

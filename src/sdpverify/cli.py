@@ -49,6 +49,7 @@ from .sdpform import (
 from . import solver as _solver
 from .analysis import (
     BoundReport,
+    SolveSummary,
     SweepRow,
     TargetResult,
     VerificationReport,
@@ -103,6 +104,8 @@ def random_instance(depth, width, seed=0):
         raise ValueError("depth must be at least 2 affine layers")
     if width < 1:
         raise ValueError("width must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     sizes = [2] + [width] * (depth - 1) + [2]
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -220,17 +223,9 @@ def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
         gamma, sol = _margin(prob, std, gap_tol)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         X = unscale_psd_block(std, sol.xblocks[0])
-        results.append(
-            TargetResult(
-                target=t,
-                gamma=gamma,
-                status=sol.status,
-                iterations=sol.iterations,
-                gap=sol.gap,
-                lambda_min=min_eigenvalue(X),
-                runtime_ms=elapsed_ms,
-            )
-        )
+        results.append(TargetResult.of(sol, target=t, gamma=gamma,
+                                       lambda_min=min_eigenvalue(X),
+                                       runtime_ms=elapsed_ms))
     return VerificationReport(
         verdict=verdict(results),
         predicted=prep.predicted,
@@ -256,12 +251,10 @@ def run_diagnose(net, center, rho, variant, *, dscale=False, wscale=False,
     _, std = _relaxation(prep, target, variant, dscale)
     lambda_star, sol = _radius(std, gap_tol)
     center = np.asarray(center, dtype=float)
-    return BoundReport(
+    return BoundReport.of(
+        sol,
         variant=variant.name,
         lambda_star=lambda_star,
-        status=sol.status,
-        gap=sol.gap,
-        iterations=sol.iterations,
         min_eig_bound=min_eig_bound(prep.net, center, rho),
         trace_bounds=list(trace_bounds(prep.net, center, rho)),
         pruned_neurons=prep.pruned_neurons,
@@ -298,45 +291,33 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
     both solves, `radius_ms` and `margin_ms` each solve alone.  A row's
     `solution` is the margin solve's final iterate on that standard form,
     so `solution.xblocks[0]` is the moment matrix of the relaxation.  Rows
-    come out in (depth, seed, variant) order.
+    come out in (depth, seed, variant) order.  Every fixture is drawn, and
+    so checked, before the first solve.
     """
     variants = [Variant(name) for name in spec.variants]
+    cells = [(depth, seed, *random_instance(depth, spec.width, seed=seed))
+             for depth in spec.depths for seed in spec.seeds]
     rows = []
-    for depth in spec.depths:
-        for seed in spec.seeds:
-            net, center = random_instance(depth, spec.width, seed=seed)
-            prep = prepare_instance(net, center, spec.rho, prune=True)
-            bound = min_eig_bound(prep.net, center, spec.rho)
-            logits = forward(prep.net, center)
-            target = max(_competitors(prep, None), key=lambda t: (logits[t], -t))
-            for variant in variants:
-                t0 = clock()
-                prob, std = _relaxation(prep, target, variant)
-                t1 = clock()
-                lambda_star, radius = _radius(std, None)
-                t2 = clock()
-                gamma, sol = _margin(prob, std, None)
-                t3 = clock()
-                rows.append(
-                    SweepRow(
-                        seed=seed,
-                        L=depth,
-                        variant=variant.name,
-                        target=target,
-                        gamma=gamma,
-                        status=sol.status,
-                        iterations=sol.iterations,
-                        gap=sol.gap,
-                        lambda_star=lambda_star,
-                        radius_status=radius.status,
-                        radius_iterations=radius.iterations,
-                        min_eig_bound=bound,
-                        runtime_ms=(t3 - t0) * 1e3,
-                        radius_ms=(t2 - t1) * 1e3,
-                        margin_ms=(t3 - t2) * 1e3,
-                        solution=sol,
-                    )
-                )
+    for depth, seed, net, center in cells:
+        prep = prepare_instance(net, center, spec.rho, prune=True)
+        bound = min_eig_bound(prep.net, center, spec.rho)
+        logits = forward(prep.net, center)
+        target = max(_competitors(prep, None), key=lambda t: (logits[t], -t))
+        for variant in variants:
+            t0 = clock()
+            prob, std = _relaxation(prep, target, variant)
+            t1 = clock()
+            lambda_star, radius = _radius(std, None)
+            t2 = clock()
+            gamma, sol = _margin(prob, std, None)
+            t3 = clock()
+            rows.append(SweepRow.of(
+                sol, seed=seed, L=depth, variant=variant.name, target=target,
+                gamma=gamma, lambda_star=lambda_star,
+                radius=SolveSummary.of(radius), min_eig_bound=bound,
+                runtime_ms=(t3 - t0) * 1e3, radius_ms=(t2 - t1) * 1e3,
+                margin_ms=(t3 - t2) * 1e3, solution=sol,
+            ))
     return rows
 
 
@@ -366,23 +347,20 @@ def run_compare(net, center, rho, *, targets=None, eps=Variant.eps,
 
 
 def generate_fixtures(out_dir, depths, seeds, width=8):
-    """Write deterministic fixture networks plus a manifest describing them."""
+    """Write deterministic fixture networks plus a manifest describing them.
+
+    Every fixture is drawn, and so checked, before the first file is written.
+    """
+    cells = [(depth, seed, *random_instance(depth, width, seed))
+             for depth in depths for seed in seeds]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for depth in depths:
-        for seed in seeds:
-            net, center = random_instance(depth, width, seed)
-            name = f"net_L{depth}_w{width}_s{seed}.json"
-            save(net, out / name)
-            entries.append(
-                {
-                    "depth": int(depth),
-                    "seed": int(seed),
-                    "path": name,
-                    "center": [float(v) for v in center],
-                }
-            )
+    for depth, seed, net, center in cells:
+        name = f"net_L{depth}_w{width}_s{seed}.json"
+        save(net, out / name)
+        entries.append({"depth": int(depth), "seed": int(seed), "path": name,
+                        "center": [float(v) for v in center]})
     manifest = {
         "input_dim": 2,
         "output_dim": 2,

@@ -187,7 +187,7 @@ def test_criterion_04_depth_sweep_trend(depth_sweep):
         base = [r for r in rows if r.variant == "base" and r.L == depth]
         assert len(base) == len(SWEEP_SEEDS)
         # a failed radius solve measures nothing; only Optimal radii count
-        lam = [r.lambda_star for r in base if r.radius_status == "Optimal"]
+        lam = [r.lambda_star for r in base if r.radius.status == "Optimal"]
         counts.append(len(lam))
         medians.append(statistics.median(lam) if lam else np.nan)
     # non-increasing up to solver noise; ties happen when the added layers

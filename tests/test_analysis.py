@@ -1,6 +1,8 @@
 """Analytic trace/eigenvalue bounds, verdict folding, and report formats."""
 
+import inspect
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from helpers import make_net, sym
 from sdpverify.analysis import (
     SWEEP_CSV_COLUMNS,
     BoundReport,
+    SolveSummary,
     SweepRow,
     TargetResult,
     VerificationReport,
@@ -136,15 +139,35 @@ def test_reports_serialize_to_json():
     assert data["trace_bounds"] == [2.25, 3.25]
 
 
+def test_reports_take_their_solve_fields_from_one_summary():
+    """`status`, `iterations` and `gap` are declared once, on `SolveSummary`,
+    and `of` copies them off a solution."""
+    sol = SimpleNamespace(status="MaxIterations", iterations=200, gap=3e-5)
+    for cls, extra in ((TargetResult, dict(target=1, gamma=0.5, lambda_min=0.0,
+                                           runtime_ms=1.0)),
+                       (BoundReport, dict(variant="base", lambda_star=0.1,
+                                          min_eig_bound=1.0, trace_bounds=[]))):
+        assert issubclass(cls, SolveSummary)
+        rep = cls.of(sol, **extra)
+        assert (rep.status, rep.iterations, rep.gap) == ("MaxIterations", 200, 3e-5)
+    for cls in (TargetResult, BoundReport, SweepRow):
+        assert not {"status", "iterations", "gap"} & set(inspect.get_annotations(cls))
+
+
 def test_sweep_csv_formatting():
     row = SweepRow(seed=0, L=2, variant="base", target=1,
                    gamma=0.123456789123, status="Optimal", iterations=17,
-                   gap=1e-9, lambda_star=0.25, radius_status="NumericalFailure",
-                   radius_iterations=42, min_eig_bound=3.25, runtime_ms=12.5,
-                   radius_ms=5.25, margin_ms=6.0)
+                   gap=1e-9, lambda_star=0.25,
+                   radius=SolveSummary("NumericalFailure", 42, 1e-3),
+                   min_eig_bound=3.25, runtime_ms=12.5, radius_ms=5.25,
+                   margin_ms=6.0)
     text = format_sweep_csv([row])
     header, line = text.splitlines()
     assert header == ",".join(SWEEP_CSV_COLUMNS)
+    assert SWEEP_CSV_COLUMNS == (
+        "seed", "L", "variant", "target", "gamma", "status", "iterations",
+        "gap", "lambda_star", "radius_status", "radius_iterations",
+        "min_eig_bound", "runtime_ms", "radius_ms", "margin_ms")
     assert line == ("0,2,base,1,0.1234567891,Optimal,17,1e-09,0.25,"
                     "NumericalFailure,42,3.25,12.5,5.25,6")
     assert text.endswith("\n")

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from helpers import make_net
-from sdpverify.analysis import SWEEP_CSV_COLUMNS, format_sweep_csv, min_eigenvalue
+from sdpverify.analysis import (
+    SWEEP_CSV_COLUMNS,
+    SolveSummary,
+    format_sweep_csv,
+    min_eigenvalue,
+)
 from sdpverify.cli import (
     SweepSpec,
     UsageError,
@@ -266,7 +271,7 @@ def test_sweep_rows_match_verify_and_diagnose(tmp_path, monkeypatch):
         # with two output labels diagnose builds against the same target
         diag = run_diagnose(net, center, 0.1, variant)
         assert row.lambda_star == diag.lambda_star
-        assert row.radius_iterations == diag.iterations
+        assert row.radius == SolveSummary(diag.status, diag.iterations, diag.gap)
     starts = [line for line in log.read_text().splitlines()
               if line.startswith("iter=0 ")]
     assert len(starts) == 2 * len(rows)
@@ -284,8 +289,8 @@ def test_sweep_deterministic_with_injected_clock():
     # every number prints as .10g, exactly
     assert format_sweep_csv(one) == ",".join(SWEEP_CSV_COLUMNS) + "\n" + "".join(
         f"{r.seed},{r.L},{r.variant},{r.target},{r.gamma:.10g},{r.status},"
-        f"{r.iterations},{r.gap:.10g},{r.lambda_star:.10g},{r.radius_status},"
-        f"{r.radius_iterations},{r.min_eig_bound:.10g},{r.runtime_ms:.10g},"
+        f"{r.iterations},{r.gap:.10g},{r.lambda_star:.10g},{r.radius.status},"
+        f"{r.radius.iterations},{r.min_eig_bound:.10g},{r.runtime_ms:.10g},"
         f"{r.radius_ms:.10g},{r.margin_ms:.10g}\n"
         for r in one
     )
@@ -445,6 +450,38 @@ def test_overflowing_rho_is_named(tmp_path, capsys, rho, message):
         code = main(["verify", "--net", manifest, "--input", "0", "--rho", rho])
     assert code == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sweep_too_wide_box_is_one_error_line(capsys):
+    """The sweep reaches `trace_bounds` before the relaxation build, whose
+    box check names the cause; the caps overflow to inf without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--depths", "2", "--seed", "0", "--rho", "1e300",
+                     "--variants", "base"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: box of layer 0 is too wide: l * u overflows\n")
+
+
+@pytest.mark.parametrize("command", ["sweep", "gen-fixtures"])
+@pytest.mark.parametrize("grid, message", [
+    (["--depths", "2,1", "--seed", "0"], "depth must be at least 2 affine layers"),
+    (["--depths", "2", "--seed", "0,-1"], "seed must be non-negative, got -1"),
+], ids=["depth", "seed"])
+def test_bad_cell_fails_before_any_work(tmp_path, monkeypatch, capsys, command,
+                                        grid, message):
+    """A bad (depth, seed) cell late in the grid is exit 3 before the first
+    solve and before any file is written."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before every cell was checked")
+
+    monkeypatch.setattr(cli._solver, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "fixtures"] if command == "gen-fixtures" else []
+    assert main([command, *grid, *out]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("net, given, message", [
