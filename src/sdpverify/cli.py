@@ -11,21 +11,30 @@ so scripts can branch on them: 0 Robust, 1 Undetermined, 2 SolverFailed,
 
 Set the environment variable IPV_LOG to `1` (stderr) or to a file path
 to print each margin and radius solve's iterations when the solve returns.
+
+BLAS runs one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS says otherwise: which solves converge, and how fast on a
+busy machine, depends on the thread count, and OpenBLAS reads it when
+numpy first loads, so it is set before that.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .network import (
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from dataclasses import asdict, dataclass, field  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from .network import (  # noqa: E402
     Network,
     EmptyLayerError,
     forward,
@@ -35,8 +44,8 @@ from .network import (
     save,
     w_scale,
 )
-from .bounds import LayerBounds, input_box, propagate
-from .sdpform import (
+from .bounds import LayerBounds, input_box, propagate  # noqa: E402
+from .sdpform import (  # noqa: E402
     VARIANT_NAMES,
     Variant,
     apply_dscale,
@@ -46,8 +55,8 @@ from .sdpform import (
     to_standard_form,
     unscale_psd_block,
 )
-from . import solver as _solver
-from .analysis import (
+from . import solver as _solver  # noqa: E402
+from .analysis import (  # noqa: E402
     BoundReport,
     SolveSummary,
     SweepRow,
@@ -60,7 +69,7 @@ from .analysis import (
     trace_bounds,
     verdict,
 )
-from .oracle import exact_gamma
+from .oracle import exact_gamma  # noqa: E402
 
 __all__ = [
     "UsageError",
@@ -81,8 +90,8 @@ EXIT_BY_VERDICT = {"Robust": 0, "Undetermined": 1, "SolverFailed": 2}
 
 _VERIFY_CSV_COLUMNS = ("target", "variant", "gamma", "status", "iterations",
                        "gap", "lambda_min", "runtime_ms")
-_COMPARE_CSV_COLUMNS = ("target", "gamma_star", "variant", "gamma", "gap",
-                        "status")
+_COMPARE_CSV_COLUMNS = ("target", "gamma_star", "variant", "gamma", "exact_gap",
+                        "status", "iterations", "gap")
 
 
 class UsageError(ValueError):
@@ -337,11 +346,8 @@ def run_compare(net, center, rho, *, targets=None, eps=Variant.eps,
                     f"relaxed margin {gamma} exceeds exact margin {gamma_star} "
                     f"for variant {name}: relaxation unsound"
                 )
-            entry["variants"][name] = {
-                "gamma": gamma,
-                "gap": gamma_star - gamma,
-                "status": sol.status,
-            }
+            entry["variants"][name] = {"gamma": gamma, "exact_gap": gamma_star - gamma,
+                                       **asdict(SolveSummary.of(sol))}
         out["targets"].append(entry)
     return out
 
@@ -600,7 +606,7 @@ def _dispatch(args):
         else:
             _emit(format_csv(_COMPARE_CSV_COLUMNS, (
                 (entry["target"], entry["gamma_star"], name, cell["gamma"],
-                 cell["gap"], cell["status"])
+                 cell["exact_gap"], cell["status"], cell["iterations"], cell["gap"])
                 for entry in result["targets"]
                 for name, cell in entry["variants"].items()
             )), args.out)

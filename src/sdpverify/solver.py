@@ -4,14 +4,23 @@ Standard form: minimize sum_b tr(C_b X_b) subject to sum_b tr(A_jb X_b) = b_j
 and every block of X positive semidefinite (diagonal blocks are elementwise
 nonnegative vectors; free blocks are unconstrained).  The method is an
 infeasible-start path follower using the HKM direction with Mehrotra's
-predictor-corrector:
+predictor-corrector.  `_iterate` runs it for both solve paths below,
+which supply only their arithmetic: step 1 is their `measure`, 2-5 their
+`step`.
 
     1. residuals  r_p = b - A(X), R_d = C - S - A^T(y), mu = <X, S>/n
     2. predictor  solve the Newton system with sigma = 0
     3. centering  sigma = (mu_aff / mu)^3 from the boundary step lengths
     4. corrector  re-solve against the sigma mu I target plus the
-                  second-order term dX_aff dS_aff, reusing the factorization
+                  second-order term dX_aff dS_aff S^{-1}, reusing the
+                  factorization
     5. step       fraction _TAU to the boundary, separately for X and (y, S)
+
+`_iterate` records step 1 in `history` and stops there on Optimal or
+Unbounded.  A numerical breakdown, the iteration cap, or a step below
+_STALL_STEP in both cones three times in a row also ends the run, which
+then returns the iterate before that step or the best earlier one by
+max(pres, dres, gap), whichever scores lower.
 
 Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
@@ -69,13 +78,12 @@ columns in the benchmark's pool), so numpy's per-call cost, not
 arithmetic, sets their time: the LP path builds a dense A (m, n) and c
 once from the constraint terms, with no compile, csr arrays or sparsity
 pattern, and then A x, A^T y and the Schur matrix (A diag(x/s)) A^T are
-one BLAS call each.  It runs the same predictor-corrector on the vectors
-x, s and y (mu_0, _TAU, the stall rule, the best-iterate fallback,
-`history` and the per-block solution all as above) and shares the input
-checks, mu_0 and the Unbounded threshold with the general loop through
-`_checked_start`.  Its dense products and dot products round differently
-from the csr kernels and sums, so its iterates are not bit for bit those
-of the general loop, which stays the tests' reference for LPs.
+one BLAS call each.  Its `step` is the same predictor-corrector on the
+vectors x, s and y, and it shares the input checks, mu_0 and the
+Unbounded threshold with the general loop through `_checked_start`.  Its
+dense products and dot products round differently from the csr kernels
+and sums, so its iterates are not bit for bit those of the general loop,
+which stays the tests' reference for LPs.
 
 Everything is deterministic: same problem and config, same iterates.
 A solve does no I/O: it records each iteration's mu, residuals and gap
@@ -609,6 +617,47 @@ def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     return _solve_blocks(prob, cfg)
 
 
+def _centering(mu_aff: float, mu: float) -> float:
+    """Mehrotra's sigma = (mu_aff / mu)^3, mu_aff floored at 0 and sigma
+    clipped to [0, 1]."""
+    return min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 0.0
+
+
+def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
+             finish) -> SdpSolution:
+    """The iteration policy of both solve paths (module docstring), from
+    the start `state`.  `measure(state)` gives (pres, dres, gap, pobj, mu,
+    aux), `step(state, mu, aux)` the next state with its primal and dual
+    step lengths, and `finish(state, status, k, history)` the solution.
+    Steps build new arrays, so keeping the best state needs no copy."""
+    history = []
+    best_score, best = np.inf, None
+    status, stall, k = MAX_ITERATIONS, 0, 0
+    try:
+        for k in range(cfg.max_iter):
+            pres, dres, gap, pobj, mu, aux = measure(state)
+            history.append((mu, pres, dres, gap))
+            if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
+                return finish(state, OPTIMAL, k, history)
+            if pobj < unbounded_obj:
+                return finish(state, UNBOUNDED, k, history)
+            score = max(pres, dres, gap)
+            if score < best_score:
+                best_score, best = score, state
+            nxt, ap, ad = step(state, mu, aux)
+            stall = stall + 1 if ap < _STALL_STEP and ad < _STALL_STEP else 0
+            if stall >= 3:
+                break
+            state = nxt
+        else:
+            k = cfg.max_iter
+    except _NumericalProblem:
+        status = NUMERICAL_FAILURE
+    if best is not None and best_score < max(measure(state)[:3]):
+        state = best
+    return finish(state, status, k, history)
+
+
 def _lp_data(prob: SdpProblem):
     """Dense A (m, n) and c of an all-diagonal problem, whose blocks'
     columns follow one another in block order, and where each block but
@@ -640,10 +689,8 @@ def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     bvec = prob.rhs_vector()
     mu0, unbounded_obj, dscale = _checked_start(prob, n, [c], [A], bvec)
     bscale = 1.0 + np.abs(bvec)
-    x, s, y = np.full(n, mu0), np.full(n, mu0), np.zeros(m)
-    history = []
 
-    def measure():
+    def residuals(x, y, s):
         """R_d, pres, dres, gap, primal and dual objective at (x, y, s)."""
         rd = c - s - A.T @ y
         pres = float((np.abs(A @ x - bvec) / bscale).max()) if m else 0.0
@@ -652,67 +699,44 @@ def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         dobj = float(bvec @ y)
         return rd, pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj)), pobj, dobj
 
-    def snapshot(status: str, k: int) -> SdpSolution:
-        _, pres, dres, gap, pobj, dobj = measure()
+    def measure(state):
+        rd, pres, dres, gap, pobj, _ = residuals(*state)
+        x, _, s = state
+        return pres, dres, gap, pobj, float(x @ s) / n, rd
+
+    def step(state, mu, rd):
+        x, y, s = state
+        sinv, w = 1.0 / s, x / s
+        if m:
+            M = (A * w) @ A.T
+            factor = _chol_factor_schur((M + M.T) / 2.0)
+        a_sinv = A @ sinv
+        g_rd = A @ (w * rd)
+
+        def newton(sigma_mu: float, corr):
+            rhs = bvec - sigma_mu * a_sinv + g_rd
+            if corr is not None:
+                rhs += A @ corr
+            dy = _potrs(factor, rhs) if m else rhs  # empty
+            ds = rd - A.T @ dy
+            dx = sigma_mu * sinv - x - w * ds
+            return (dx if corr is None else dx - corr), dy, ds
+
+        dxa, _, dsa = newton(0.0, None)
+        ap_aff, ad_aff = _ratio_steps(x, dxa, s, dsa, 1.0)
+        mu_aff = float((x + ap_aff * dxa) @ (s + ad_aff * dsa)) / n
+        dx, dy, ds = newton(_centering(mu_aff, mu) * mu, dxa * dsa * sinv)
+        ap, ad = _ratio_steps(x, dx, s, ds, _TAU)
+        return (x + ap * dx, y + ad * dy, s + ad * ds), ap, ad
+
+    def finish(state, status, k, history):
+        x, y, s = state
+        _, pres, dres, gap, pobj, dobj = residuals(x, y, s)
         return SdpSolution(status, np.split(x, cuts), y, np.split(s, cuts), pobj,
                            dobj, gap, pres, dres, k, history)
 
-    best_score, best_state = np.inf, None
-
-    def fallback(status: str, k: int) -> SdpSolution:
-        nonlocal x, y, s
-        if best_state is not None and best_score < max(measure()[1:4]):
-            x, y, s = best_state
-        return snapshot(status, k)
-
-    stall = k = 0
-    try:
-        for k in range(cfg.max_iter):
-            rd, pres, dres, gap, pobj, _ = measure()
-            mu = float(x @ s) / n
-            history.append((mu, pres, dres, gap))
-            if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
-                return snapshot(OPTIMAL, k)
-            if pobj < unbounded_obj:
-                return snapshot(UNBOUNDED, k)
-            score = max(pres, dres, gap)
-            if score < best_score:
-                best_score, best_state = score, (x, y, s)
-
-            sinv, w = 1.0 / s, x / s
-            if m:
-                M = (A * w) @ A.T
-                factor = _chol_factor_schur((M + M.T) / 2.0)
-            a_sinv = A @ sinv
-            g_rd = A @ (w * rd)
-
-            def newton(sigma_mu: float, corr):
-                rhs = bvec - sigma_mu * a_sinv + g_rd
-                if corr is not None:
-                    rhs += A @ corr
-                dy = _potrs(factor, rhs) if m else rhs  # empty
-                ds = rd - A.T @ dy
-                dx = sigma_mu * sinv - x - w * ds
-                return (dx if corr is None else dx - corr), dy, ds
-
-            dxa, _, dsa = newton(0.0, None)
-            ap_aff, ad_aff = _ratio_steps(x, dxa, s, dsa, 1.0)
-            mu_aff = max(float((x + ap_aff * dxa) @ (s + ad_aff * dsa)) / n, 0.0)
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
-
-            dx, dy, ds = newton(sigma * mu, dxa * dsa * sinv)
-            ap, ad = _ratio_steps(x, dx, s, ds, _TAU)
-            if ap < _STALL_STEP and ad < _STALL_STEP:
-                stall += 1
-                if stall >= 3:
-                    return fallback(MAX_ITERATIONS, k)
-            else:
-                stall = 0
-            x, s, y = x + ap * dx, s + ad * ds, y + ad * dy
-    except _NumericalProblem:
-        return fallback(NUMERICAL_FAILURE, k)
-
-    return fallback(MAX_ITERATIONS, cfg.max_iter)
+    state = (np.full(n, mu0), np.zeros(m), np.full(n, mu0))
+    return _iterate(cfg, state, unbounded_obj, measure, step, finish)
 
 
 def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
@@ -736,154 +760,100 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             return np.eye(blk.dim) * mu0
         return np.full(blk.dim, mu0 if blk.kind == "diag" else 0.0)
 
-    xblocks = [start(blk) for blk in prob.blocks]
-    sblocks = [start(blk) for blk in prob.blocks]
-    y = np.zeros(m)
-    history = []
+    def measure(state):
+        xblocks, y, sblocks = state
+        rd_blocks = _dual_residuals(compiled, y, sblocks)
+        pres, dres, gap, pobj, _ = _residual_triplet(
+            compiled, bvec, dscale, xblocks, y, rd_blocks)
+        mu = sum(float((xb * sb).sum()) for xb, sb in zip(xblocks, sblocks)) / n_cone
+        return pres, dres, gap, pobj, mu, rd_blocks
 
-    def snapshot(status: str, k: int) -> SdpSolution:
-        pres, dres, gap, pobj, dobj = _residual_triplet(
-            compiled, bvec, dscale, xblocks, y, _dual_residuals(compiled, y, sblocks)
-        )
-        return SdpSolution(
-            status=status,
-            xblocks=xblocks,
-            y=y,
-            sblocks=sblocks,
-            primal_obj=pobj,
-            dual_obj=dobj,
-            gap=gap,
-            primal_res=pres,
-            dual_res=dres,
-            iterations=k,
-            history=history,
-        )
-
-    # A run that breaks down late should hand back its best iterate, not
-    # whatever the failed step left behind.  Steps build new blocks and
-    # lists, so holding on to an iterate needs no copy.
-    best_score = np.inf
-    best_state = None
-
-    def fallback(status: str, k: int) -> SdpSolution:
-        nonlocal xblocks, y, sblocks
-        if best_state is not None:
-            pres, dres, gap, _, _ = _residual_triplet(
-                compiled, bvec, dscale, xblocks, y,
-                _dual_residuals(compiled, y, sblocks),
-            )
-            if best_score < max(pres, dres, gap):
-                xblocks, y, sblocks = best_state
-        return snapshot(status, k)
-
-    stall = 0
-    k = 0
-    try:
-        for k in range(cfg.max_iter):
-            rd_blocks = _dual_residuals(compiled, y, sblocks)
-            pres, dres, gap, pobj, _ = _residual_triplet(
-                compiled, bvec, dscale, xblocks, y, rd_blocks
-            )
-            mu = (
-                sum(float((xb * sb).sum()) for xb, sb in zip(xblocks, sblocks))
-                / n_cone
-            )
-            history.append((mu, pres, dres, gap))
-            if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
-                return snapshot(OPTIMAL, k)
-            if pobj < unbounded_obj:
-                return snapshot(UNBOUNDED, k)
-            score = max(pres, dres, gap)
-            if score < best_score:
-                best_score, best_state = score, (xblocks, y, sblocks)
-
-            # psd blocks: S^{-1} and both step lengths from one factor each
-            sinv, xcones, scones = [], list(xblocks), list(sblocks)
-            for bi, cb in enumerate(compiled):
-                if cb.kind == "psd":
-                    scones[bi] = _cone_factor(sblocks[bi], "dual")
-                    sinv.append(_psd_inverse(scones[bi]))
-                    xcones[bi] = _cone_factor(xblocks[bi], "primal")
-                else:
-                    sinv.append(1.0 / sblocks[bi] if cb.kind == "diag" else None)
-
-            M = _schur(compiled, xblocks, sblocks, sinv, m)
-            factor = _chol_factor_schur(M) if m else None
-            b_eff = bvec
-            if free:
-                MiB = _potrs(factor, Bfree)
-                BtMiB = Bfree.T @ MiB
-                BtMiB_factor = _potrf((BtMiB + BtMiB.T) / 2.0, clean=0)
-                if BtMiB_factor is None:
-                    raise _NumericalProblem("free-variable complement is singular")
-                rf_now = np.concatenate([rd_blocks[bi] for bi in free])
-                b_eff = bvec - Bfree @ np.concatenate([xblocks[bi] for bi in free])
-
-            # constant rhs pieces: tr(A_j S^{-1}) and tr(A_j X R_d S^{-1})
-            a_sinv = _add_traces(np.zeros(m), compiled, sinv)
-            g_rd = _add_traces(
-                np.zeros(m), compiled, map(_mul, compiled, xblocks, rd_blocks, sinv)
-            )
-
-            def newton(sigma_mu: float, corr):
-                rhs = b_eff - sigma_mu * a_sinv + g_rd
-                if corr is not None:
-                    # into rhs itself, block by block (module docstring)
-                    _add_traces(rhs, compiled, map(_mul, compiled, *corr, sinv))
-                if free:
-                    u1 = _potrs(factor, rhs)
-                    dfree = _potrs(BtMiB_factor, Bfree.T @ u1 - rf_now)
-                    dy = u1 - MiB @ dfree
-                    free_steps = iter(np.split(dfree, free_cuts))
-                else:
-                    dy = _potrs(factor, rhs) if m else np.zeros(0)
-                dxb, dsb = [], []
-                for bi, (cb, xb, si, rd) in enumerate(
-                    zip(compiled, xblocks, sinv, rd_blocks)
-                ):
-                    if cb.kind == "free":
-                        dxb.append(next(free_steps))
-                        dsb.append(np.zeros(cb.dim))
-                        continue
-                    ds = rd - _apply_AT(cb, dy)
-                    dx = sigma_mu * si - xb - _mul(cb, xb, ds, si)
-                    if corr is not None:
-                        dx = dx - _mul(cb, corr[0][bi], corr[1][bi], si)
-                    dxb.append(_sym(cb, dx))
-                    dsb.append(ds)
-                return dxb, dy, dsb
-
-            # predictor: pure Newton step toward complementarity zero
-            dxa, dya, dsa = newton(0.0, None)
-            ap_aff = min(1.0, _max_step(compiled, xcones, dxa))
-            ad_aff = min(1.0, _max_step(compiled, scones, dsa))
-            mu_aff = (
-                sum(
-                    float(((xb + ap_aff * dx) * (sb + ad_aff * ds)).sum())
-                    for xb, dx, sb, ds in zip(xblocks, dxa, sblocks, dsa)
-                )
-                / n_cone
-            )
-            mu_aff = max(mu_aff, 0.0)
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
-
-            # corrector: recentered step with the second-order term
-            dxb, dy, dsb = newton(sigma * mu, (dxa, dsa))
-            ap = min(1.0, _TAU * _max_step(compiled, xcones, dxb))
-            ad = min(1.0, _TAU * _max_step(compiled, scones, dsb))
-            if ap < _STALL_STEP and ad < _STALL_STEP:
-                stall += 1
-                if stall >= 3:
-                    return fallback(MAX_ITERATIONS, k)
+    def step(state, mu, rd_blocks):
+        xblocks, y, sblocks = state
+        # psd blocks: S^{-1} and both step lengths from one factor each
+        sinv, xcones, scones = [], list(xblocks), list(sblocks)
+        for bi, cb in enumerate(compiled):
+            if cb.kind == "psd":
+                scones[bi] = _cone_factor(sblocks[bi], "dual")
+                sinv.append(_psd_inverse(scones[bi]))
+                xcones[bi] = _cone_factor(xblocks[bi], "primal")
             else:
-                stall = 0
+                sinv.append(1.0 / sblocks[bi] if cb.kind == "diag" else None)
 
-            xblocks = [_sym(cb, xb + ap * dx)
-                       for cb, xb, dx in zip(compiled, xblocks, dxb)]
-            sblocks = [_sym(cb, sb + ad * ds)
-                       for cb, sb, ds in zip(compiled, sblocks, dsb)]
-            y = y + ad * dy
-    except _NumericalProblem:
-        return fallback(NUMERICAL_FAILURE, k)
+        M = _schur(compiled, xblocks, sblocks, sinv, m)
+        factor = _chol_factor_schur(M) if m else None
+        b_eff = bvec
+        if free:
+            MiB = _potrs(factor, Bfree)
+            BtMiB = Bfree.T @ MiB
+            BtMiB_factor = _potrf((BtMiB + BtMiB.T) / 2.0, clean=0)
+            if BtMiB_factor is None:
+                raise _NumericalProblem("free-variable complement is singular")
+            rf_now = np.concatenate([rd_blocks[bi] for bi in free])
+            b_eff = bvec - Bfree @ np.concatenate([xblocks[bi] for bi in free])
 
-    return fallback(MAX_ITERATIONS, cfg.max_iter)
+        # constant rhs pieces: tr(A_j S^{-1}) and tr(A_j X R_d S^{-1})
+        a_sinv = _add_traces(np.zeros(m), compiled, sinv)
+        g_rd = _add_traces(
+            np.zeros(m), compiled, map(_mul, compiled, xblocks, rd_blocks, sinv)
+        )
+
+        def newton(sigma_mu: float, corr):
+            rhs = b_eff - sigma_mu * a_sinv + g_rd
+            if corr is not None:
+                # into rhs itself, block by block (module docstring)
+                _add_traces(rhs, compiled, corr)
+            if free:
+                u1 = _potrs(factor, rhs)
+                dfree = _potrs(BtMiB_factor, Bfree.T @ u1 - rf_now)
+                dy = u1 - MiB @ dfree
+                free_steps = iter(np.split(dfree, free_cuts))
+            else:
+                dy = _potrs(factor, rhs) if m else np.zeros(0)
+            dxb, dsb = [], []
+            for bi, (cb, xb, si, rd) in enumerate(
+                zip(compiled, xblocks, sinv, rd_blocks)
+            ):
+                if cb.kind == "free":
+                    dxb.append(next(free_steps))
+                    dsb.append(np.zeros(cb.dim))
+                    continue
+                ds = rd - _apply_AT(cb, dy)
+                dx = sigma_mu * si - xb - _mul(cb, xb, ds, si)
+                if corr is not None:
+                    dx = dx - corr[bi]
+                dxb.append(_sym(cb, dx))
+                dsb.append(ds)
+            return dxb, dy, dsb
+
+        # predictor: pure Newton step toward complementarity zero
+        dxa, _, dsa = newton(0.0, None)
+        ap_aff = min(1.0, _max_step(compiled, xcones, dxa))
+        ad_aff = min(1.0, _max_step(compiled, scones, dsa))
+        mu_aff = sum(
+            float(((xb + ap_aff * dx) * (sb + ad_aff * ds)).sum())
+            for xb, dx, sb, ds in zip(xblocks, dxa, sblocks, dsa)
+        ) / n_cone
+
+        # corrector: recentered step with the second-order term
+        # dX_aff dS_aff S^{-1}, formed once for the rhs and for dX
+        corr = list(map(_mul, compiled, dxa, dsa, sinv))
+        dxb, dy, dsb = newton(_centering(mu_aff, mu) * mu, corr)
+        ap = min(1.0, _TAU * _max_step(compiled, xcones, dxb))
+        ad = min(1.0, _TAU * _max_step(compiled, scones, dsb))
+        xblocks = [_sym(cb, xb + ap * dx)
+                   for cb, xb, dx in zip(compiled, xblocks, dxb)]
+        sblocks = [_sym(cb, sb + ad * ds)
+                   for cb, sb, ds in zip(compiled, sblocks, dsb)]
+        return (xblocks, y + ad * dy, sblocks), ap, ad
+
+    def finish(state, status, k, history):
+        xblocks, y, sblocks = state
+        pres, dres, gap, pobj, dobj = _residual_triplet(
+            compiled, bvec, dscale, xblocks, y, _dual_residuals(compiled, y, sblocks))
+        return SdpSolution(status, xblocks, y, sblocks, pobj, dobj, gap, pres,
+                           dres, k, history)
+
+    state = ([start(blk) for blk in prob.blocks], np.zeros(m),
+             [start(blk) for blk in prob.blocks])
+    return _iterate(cfg, state, unbounded_obj, measure, step, finish)

@@ -325,13 +325,15 @@ def test_compare_tiny_is_tight():
     res = run_compare(_tiny(), [1.0], 0.5, gap_tol=1e-8)
     entry = res["targets"][0]
     assert entry["gamma_star"] == pytest.approx(0.5, abs=1e-9)
-    base_gap = entry["variants"]["base"]["gap"]
+    base_gap = entry["variants"]["base"]["exact_gap"]
     for name, cell in entry["variants"].items():
         assert cell["status"] == "Optimal"
         # every relaxation is sound and exact on this all-active box
-        assert cell["gap"] >= -1e-6
-        assert abs(cell["gap"]) <= 1e-6
-        assert cell["gap"] >= base_gap - 1e-6
+        assert cell["exact_gap"] >= -1e-6
+        assert abs(cell["exact_gap"]) <= 1e-6
+        assert cell["exact_gap"] >= base_gap - 1e-6
+        # the solve's own fields, as every other command reports them
+        assert cell["iterations"] > 0 and 0.0 <= cell["gap"] <= 1e-8
     json.dumps(res)
 
 
@@ -343,12 +345,14 @@ def test_compare_cli_csv(tmp_path, capsys, monkeypatch):
     assert code == 0
     text = capsys.readouterr().out
     lines = text.strip().splitlines()
-    assert lines[0] == "target,gamma_star,variant,gamma,gap,status"
+    assert lines[0] == ("target,gamma_star,variant,gamma,exact_gap,status,"
+                        "iterations,gap")
     assert len(lines) == 1 + len(VARIANT_NAMES)  # one row per variant
     (res,) = results
     assert text == lines[0] + "\n" + "".join(
         f"{e['target']},{e['gamma_star']:.10g},{name},"
-        f"{c['gamma']:.10g},{c['gap']:.10g},{c['status']}\n"
+        f"{c['gamma']:.10g},{c['exact_gap']:.10g},{c['status']},"
+        f"{c['iterations']},{c['gap']:.10g}\n"
         for e in res["targets"] for name, c in e["variants"].items()
     )
 
@@ -526,6 +530,27 @@ def test_module_entry_point_runs_without_warning(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert str(out / "manifest.json") in proc.stdout
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, seen", [
+    ({}, "1,1,1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2,1,1"),
+])
+def test_cli_import_defaults_blas_to_one_thread(given, seen):
+    """Importing the command line sets each unset BLAS thread count to one
+    before numpy loads; a count the caller set stays."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import os\nimport sdpverify.cli\n"
+            f"print(','.join(os.environ[v] for v in {_THREAD_VARS!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**env, **given}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [seen]
 
 
 def test_no_prune_flag(tmp_path, capsys):

@@ -9,6 +9,7 @@ read files under `perfbench/`.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -74,3 +75,32 @@ def test_each_workload_runs_one_request_traced(api, name, pool, req):
     assert workload.compare(out.record, out.record) == []
     assert solves and all(iters > 0 for _, iters, _ in solves)
     assert counts["rows"] > 0 and counts["nnz"] > 0
+
+
+@pytest.mark.parametrize("name, pool, key", [
+    ("verify-deep", [[10, 8]], "L10/s8"),
+    ("sweep-grid", [10, 11], "L2/base/s10,11"),
+    ("oracle-lp", [[2, 83]], "L2/s83"),
+])
+def test_requests_match_the_reference_traced(api, name, pool, key):
+    """A rounding tripwire: one request per workload, traced, passes
+    `perfbench/run.py`'s own reference and exact-count checks.  The psd
+    requests sit where a last-bit change in the solver moves a margin
+    (L10/s8's gamma) or a radius solve's status and iteration count
+    (L2/base/s10,11), which only the traced counts catch."""
+    run, workloads, tracing = _module("run"), _module("workloads"), _module("tracing")
+    workload = workloads.WORKLOADS[name](api, pool)
+    workload.make_fixtures()
+    ref = json.loads(run.REFERENCE.read_text())["workloads"][name]["entries"]
+    assert key in ref
+    (req,) = [r for r in workload.all_requests() if workload.key(r) == key]
+    tracer = tracing.Tracer(api)
+    tracer.install()
+    tracer.begin(0)
+    try:
+        result = run._execute(workload, req)
+    finally:
+        counts, solves = tracer.end()
+        tracer.uninstall()
+    assert run.check(workload, ref, req, result) == []
+    assert run.check_counts(workload, ref, req, counts, solves) == []

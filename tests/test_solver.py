@@ -561,6 +561,44 @@ def test_lp_path_ends_degenerate_lps_as_the_general_loop(rhs, status):
     assert [b.shape for b in dense.xblocks] == [(2,), (1,)]
 
 
+def _policy_cases():
+    """(name, solve) on the infeasible LP above, run by either path, and on
+    the depth-10 seed-8 `base` margin SDP, a verify-deep request that ends
+    NumericalFailure: each reaches `_iterate`'s fallback."""
+    cons = [Constraint({0: coo(np.eye(2))}, -1.0, "=", "sum")]
+    lp = _simple({0: coo(np.diag([1.0, 2.0]))}, cons,
+                 blocks=(Block("diag", 2), Block("diag", 1)))
+    net, center = random_instance(10, 8, seed=8)
+    prep = prepare_instance(net, center, 0.1)
+    _, sdp = _relaxation(prep, _competitors(prep, None)[0], Variant.base())
+    return [("lp", lambda: solver._solve_lp(lp, SolverConfig())),
+            ("blocks", lambda: solver._solve_blocks(lp, SolverConfig())),
+            ("sdp", lambda: solve(sdp))]
+
+
+def test_three_stalled_steps_end_either_path(monkeypatch):
+    """With every step counted as stalled, both paths stop at the third
+    one, after three history rows, as MaxIterations."""
+    monkeypatch.setattr(solver, "_STALL_STEP", np.inf)
+    for name, run in _policy_cases():
+        sol = run()
+        assert (sol.status, sol.iterations, len(sol.history)) == (
+            "MaxIterations", 2, 3), name
+
+
+def test_breakdown_returns_the_best_iterate_on_either_path():
+    """A numerical breakdown hands back the iterate whose max(pres, dres,
+    gap) is the least over the run's history."""
+    iterations = {}
+    for name, run in _policy_cases():
+        sol = run()
+        assert sol.status == "NumericalFailure", name
+        iterations[name] = sol.iterations
+        best = min(max(row[1:]) for row in sol.history)
+        assert max(sol.primal_res, sol.dual_res, sol.gap) == best, name
+    assert iterations == {"lp": 18, "blocks": 23, "sdp": 36}
+
+
 def test_lapack_wrappers_match_scipy_bit_for_bit():
     rng = np.random.default_rng(48)
     for d in (1, 5, 70):
