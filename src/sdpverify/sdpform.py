@@ -143,7 +143,11 @@ class Coo(NamedTuple):
     """One block's coefficient matrix as coordinate entries.  `Coo.of`
     stores them as scipy's `sum_duplicates` leaves a coo matrix: sorted by
     (row, col), repeated positions summed in entry order, explicit zeros
-    kept.  Built field by field, a Coo may hold any order."""
+    kept.  Every term the package builds has that form, and the solver
+    compiles a term's entries in the order it holds them.  Built field by
+    field, a Coo may hold any order and repeat a position: it solves
+    correctly, its repeats added up, but not bit for bit as its `Coo.of`
+    form does."""
 
     row: np.ndarray
     col: np.ndarray

@@ -16,11 +16,12 @@ which supply only their arithmetic: step 1 is their `measure`, 2-5 their
                   factorization
     5. step       fraction _TAU to the boundary, separately for X and (y, S)
 
-`_iterate` records step 1 in `history` and stops there on Optimal or
-Unbounded.  A numerical breakdown, the iteration cap, or a step below
-_STALL_STEP in both cones three times in a row also ends the run, which
-then returns the iterate before that step or the best earlier one by
-max(pres, dres, gap), whichever scores lower.
+`_iterate` runs step 1 once per iterate, records it in `history` and
+stops there on Optimal or Unbounded.  A numerical breakdown, the
+iteration cap, or a step below _STALL_STEP in both cones three times in
+a row also ends the run, which then returns the iterate before that step
+or the best earlier one by max(pres, dres, gap), whichever scores lower,
+with the residuals, gap and objectives its step 1 found.
 
 Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
@@ -46,10 +47,10 @@ scipy.sparse imports it, and would not be bound as its attribute.
 
 The constraint data is compiled once per solve, per problem block and in
 block order, from all (constraint, row, col, value) triplets of the block
-at once: sorted by (constraint, row, col) with duplicates summed in entry
-order, then laid out as csr arrays with one row per constraint.  The
-iterates are held per problem block too, so the solution hands back the
-final iterate as it is.
+at once, taken in the order the `Coo` terms hold them (its docstring) and
+laid out as csr arrays with one row per constraint.  The iterates are
+held per problem block too, so the solution hands back the final iterate
+as it is.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -178,8 +179,8 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.gap_tol > 0 and self.feas_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.gap_tol, self.feas_tol)):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -262,21 +263,10 @@ def _csr(data, indices, owner, shape) -> _Csr:
     return _Csr(indptr, indices, data, shape)
 
 
-def _dense(A: _Csr) -> np.ndarray:
-    """A as a dense array, summed as scipy's `toarray` sums it."""
-    out = np.zeros(A.shape)
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    np.add.at(out, (rows, A.indices), A.data)
-    return out
-
-
 def _triplets(present, mats):
     """(constraint, row, col, value) of the entries of `mats`, the `Coo`
-    terms of constraints `present` (ascending), sorted by (j, row, col)
-    with duplicates summed in entry order, by one stable sort and one
-    reduceat for all of them.  `Coo.of` terms are canonical already; the
-    sort makes terms built field by field, in any order and with repeated
-    positions, compile the same.  The terms are only read."""
+    terms of constraints `present` (ascending), one term after another in
+    the order each holds its entries.  The terms are only read."""
     if not mats:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0)
@@ -284,18 +274,15 @@ def _triplets(present, mats):
     row = np.concatenate([mat.row for mat in mats], dtype=np.int64)
     col = np.concatenate([mat.col for mat in mats], dtype=np.int64)
     val = np.concatenate([mat.data for mat in mats], dtype=float)
-    order = np.lexsort((col, row, j))
-    j, row, col, val = j[order], row[order], col[order], val[order]
-    first = np.ones(j.size, dtype=bool)
-    first[1:] = (j[1:] != j[:-1]) | (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-    val = np.add.reduceat(val, np.flatnonzero(first))
-    return j[first], row[first], col[first], val
+    return j, row, col, val
 
 
 def _psd_chunks(present, j, row, col, val, d, m):
     """A psd block's constraints in chunks of at most _SCHUR_CHUNK with
     equally many nonzero rows r: (ids, rows (k, r), A_j[rows, :] (k, r, d)).
-    Row counts come in order of first appearance, ids ascending."""
+    Row counts come in order of first appearance, ids ascending.  A_j's
+    rows are the runs of equal row among its entries, and entries at one
+    place add up, so a term in any order gives the same A_j."""
     new = np.ones(j.size, dtype=bool)
     new[1:] = (j[1:] != j[:-1]) | (row[1:] != row[:-1])
     nrows = np.bincount(j[new], minlength=m)
@@ -310,7 +297,8 @@ def _psd_chunks(present, j, row, col, val, d, m):
             ids = group[lo:lo + _SCHUR_CHUNK]
             mine = np.isin(j, ids)
             Asub = np.zeros((ids.size, r, d))
-            Asub[np.searchsorted(ids, j[mine]), slot[mine], col[mine]] += val[mine]
+            np.add.at(Asub, (np.searchsorted(ids, j[mine]), slot[mine], col[mine]),
+                      val[mine])
             rows = rows_of[start[ids][:, None] + np.arange(r)]
             chunks.append((ids, rows, Asub))
     return chunks
@@ -626,24 +614,28 @@ def _centering(mu_aff: float, mu: float) -> float:
 def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
              finish) -> SdpSolution:
     """The iteration policy of both solve paths (module docstring), from
-    the start `state`.  `measure(state)` gives (pres, dres, gap, pobj, mu,
-    aux), `step(state, mu, aux)` the next state with its primal and dual
-    step lengths, and `finish(state, status, k, history)` the solution.
-    Steps build new arrays, so keeping the best state needs no copy."""
+    the start `state`.  `measure(state)` gives (pres, dres, gap, pobj, dobj,
+    mu, aux), `step(state, mu, aux)` the next state with its primal and
+    dual step lengths, and `finish(state, meas, status, k, history)` the
+    solution from the returned state and its measurement `meas`.  Each
+    iterate is measured once: its measurement goes with it into the best
+    iterate kept and into `finish`.  Steps build new arrays, so keeping the
+    best state needs no copy."""
     history = []
     best_score, best = np.inf, None
     status, stall, k = MAX_ITERATIONS, 0, 0
     try:
         for k in range(cfg.max_iter):
-            pres, dres, gap, pobj, mu, aux = measure(state)
+            meas = measure(state)
+            pres, dres, gap, pobj, _, mu, aux = meas
             history.append((mu, pres, dres, gap))
             if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
-                return finish(state, OPTIMAL, k, history)
+                return finish(state, meas, OPTIMAL, k, history)
             if pobj < unbounded_obj:
-                return finish(state, UNBOUNDED, k, history)
+                return finish(state, meas, UNBOUNDED, k, history)
             score = max(pres, dres, gap)
             if score < best_score:
-                best_score, best = score, state
+                best_score, best = score, (state, meas)
             nxt, ap, ad = step(state, mu, aux)
             stall = stall + 1 if ap < _STALL_STEP and ad < _STALL_STEP else 0
             if stall >= 3:
@@ -651,11 +643,12 @@ def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
             state = nxt
         else:
             k = cfg.max_iter
+            meas = measure(state)
     except _NumericalProblem:
         status = NUMERICAL_FAILURE
-    if best is not None and best_score < max(measure(state)[:3]):
-        state = best
-    return finish(state, status, k, history)
+    if best is not None and best_score < max(meas[:3]):
+        state, meas = best
+    return finish(state, meas, status, k, history)
 
 
 def _lp_data(prob: SdpProblem):
@@ -690,19 +683,15 @@ def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     mu0, unbounded_obj, dscale = _checked_start(prob, n, [c], [A], bvec)
     bscale = 1.0 + np.abs(bvec)
 
-    def residuals(x, y, s):
-        """R_d, pres, dres, gap, primal and dual objective at (x, y, s)."""
+    def measure(state):
+        x, y, s = state
         rd = c - s - A.T @ y
         pres = float((np.abs(A @ x - bvec) / bscale).max()) if m else 0.0
         dres = math.sqrt(rd @ rd) / dscale
         pobj = float(c @ x)
         dobj = float(bvec @ y)
-        return rd, pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj)), pobj, dobj
-
-    def measure(state):
-        rd, pres, dres, gap, pobj, _ = residuals(*state)
-        x, _, s = state
-        return pres, dres, gap, pobj, float(x @ s) / n, rd
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj))
+        return pres, dres, gap, pobj, dobj, float(x @ s) / n, rd
 
     def step(state, mu, rd):
         x, y, s = state
@@ -729,9 +718,8 @@ def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         ap, ad = _ratio_steps(x, dx, s, ds, _TAU)
         return (x + ap * dx, y + ad * dy, s + ad * ds), ap, ad
 
-    def finish(state, status, k, history):
-        x, y, s = state
-        _, pres, dres, gap, pobj, dobj = residuals(x, y, s)
+    def finish(state, meas, status, k, history):
+        (x, y, s), (pres, dres, gap, pobj, dobj) = state, meas[:5]
         return SdpSolution(status, np.split(x, cuts), y, np.split(s, cuts), pobj,
                            dobj, gap, pres, dres, k, history)
 
@@ -750,7 +738,8 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         bvec)
     free = [bi for bi, cb in enumerate(compiled) if cb.kind == "free"]
     if free:
-        Bfree = np.hstack([_dense(compiled[bi].Avec) for bi in free])
+        Bfree = np.hstack([_matvecs(compiled[bi].Avec, np.eye(compiled[bi].dim))
+                           for bi in free])
         free_cuts = np.cumsum([compiled[bi].dim for bi in free])[:-1]
 
     def start(blk):
@@ -763,10 +752,9 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     def measure(state):
         xblocks, y, sblocks = state
         rd_blocks = _dual_residuals(compiled, y, sblocks)
-        pres, dres, gap, pobj, _ = _residual_triplet(
-            compiled, bvec, dscale, xblocks, y, rd_blocks)
         mu = sum(float((xb * sb).sum()) for xb, sb in zip(xblocks, sblocks)) / n_cone
-        return pres, dres, gap, pobj, mu, rd_blocks
+        return (*_residual_triplet(compiled, bvec, dscale, xblocks, y, rd_blocks),
+                mu, rd_blocks)
 
     def step(state, mu, rd_blocks):
         xblocks, y, sblocks = state
@@ -847,12 +835,9 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
                    for cb, sb, ds in zip(compiled, sblocks, dsb)]
         return (xblocks, y + ad * dy, sblocks), ap, ad
 
-    def finish(state, status, k, history):
-        xblocks, y, sblocks = state
-        pres, dres, gap, pobj, dobj = _residual_triplet(
-            compiled, bvec, dscale, xblocks, y, _dual_residuals(compiled, y, sblocks))
-        return SdpSolution(status, xblocks, y, sblocks, pobj, dobj, gap, pres,
-                           dres, k, history)
+    def finish(state, meas, status, k, history):
+        pres, dres, gap, pobj, dobj = meas[:5]
+        return SdpSolution(status, *state, pobj, dobj, gap, pres, dres, k, history)
 
     state = ([start(blk) for blk in prob.blocks], np.zeros(m),
              [start(blk) for blk in prob.blocks])

@@ -456,6 +456,21 @@ def test_overflowing_rho_is_named(tmp_path, capsys, rho, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "diagnose", "compare"])
+def test_infinite_gap_tol_is_one_error_line(tmp_path, capsys, command):
+    """An infinite tolerance would stop the solve at once and could read
+    Robust on a target that is not: it is a usage error, before any solve
+    output."""
+    generate_fixtures(tmp_path, [2], [0])
+    manifest = str(tmp_path / "manifest.json")
+    code = main([command, "--net", manifest, "--input", "0", "--rho", "0.1",
+                 "--gap-tol", "inf"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerances must be finite and positive\n"
+
+
 def test_sweep_too_wide_box_is_one_error_line(capsys):
     """The sweep reaches `trace_bounds` before the relaxation build, whose
     box check names the cause; the caps overflow to inf without a warning."""

@@ -272,10 +272,20 @@ def test_solve_leaves_the_problem_unchanged():
     before = (mat.row.copy(), mat.col.copy(), mat.data.copy(), mat.nnz)
     prob = _simple({0: coo(np.eye(2))},
                    [Constraint({0: mat}, 1.0, "=", "w")])
-    assert solve(prob, SolverConfig()).status == "Optimal"
+    sol = solve(prob, SolverConfig())
+    assert sol.status == "Optimal"
     assert prob.constraints[0].terms[0] is mat
     for got, want in zip((mat.row, mat.col, mat.data, mat.nnz), before):
         assert np.array_equal(got, want)
+    # its canonical form, and a sorted form whose repeats sit side by side,
+    # compile to the same constraint and reach the same optimum
+    sorted_repeats = Coo(np.array([0, 1, 1]), np.array([0, 1, 1]),
+                         np.array([2.0, 1.0, 0.5]), (2, 2))
+    for form in (Coo.of(mat.row, mat.col, mat.data, mat.shape), sorted_repeats):
+        other = solve(_simple({0: coo(np.eye(2))},
+                              [Constraint({0: form}, 1.0, "=", "w")]))
+        assert other.status == "Optimal"
+        assert abs(other.primal_obj - sol.primal_obj) <= 1e-7
 
 
 def test_config_validation():
@@ -285,6 +295,11 @@ def test_config_validation():
         SolverConfig(feas_tol=-1e-9)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(gap_tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(feas_tol=tol)
 
 
 def test_solution_reports_are_consistent():
@@ -597,6 +612,36 @@ def test_breakdown_returns_the_best_iterate_on_either_path():
         best = min(max(row[1:]) for row in sol.history)
         assert max(sol.primal_res, sol.dual_res, sol.gap) == best, name
     assert iterations == {"lp": 18, "blocks": 23, "sdp": 36}
+
+
+def test_each_iterate_is_measured_once(monkeypatch):
+    """The general loop computes an iterate's residuals once: once per
+    history row, and once more for the unmeasured last iterate of a
+    MaxIterations run.  An Optimal solve on either path reports its last
+    row's residuals and gap bit for bit."""
+    calls = []
+    triplet = solver._residual_triplet
+    monkeypatch.setattr(solver, "_residual_triplet",
+                        lambda *args: calls.append(1) or triplet(*args))
+    sdp, _, _ = planted_instance(np.random.default_rng(46), (4,))
+    infeasible = _simple({0: coo(np.diag([1.0, 2.0]))},
+                         [Constraint({0: coo(np.eye(2))}, -1.0, "=", "sum")],
+                         blocks=(Block("diag", 2),))
+    for prob, cfg, status, extra in (
+            (sdp, SolverConfig(), "Optimal", 0),
+            (sdp, SolverConfig(max_iter=3), "MaxIterations", 1),
+            (infeasible, SolverConfig(), "NumericalFailure", 0)):
+        calls.clear()
+        sol = solver._solve_blocks(prob, cfg)
+        assert sol.status == status
+        assert len(calls) == len(sol.history) + extra, status
+    lp = _simple({0: coo(np.diag([1.0, 2.0]))},
+                 [Constraint({0: coo(np.eye(2))}, 1.0, "=", "sum")],
+                 blocks=(Block("diag", 2),))
+    for sol in (solve(sdp), solver._solve_lp(lp, SolverConfig()),
+                solver._solve_blocks(lp, SolverConfig())):
+        assert sol.status == "Optimal"
+        assert (sol.primal_res, sol.dual_res, sol.gap) == sol.history[-1][1:]
 
 
 def test_lapack_wrappers_match_scipy_bit_for_bit():
