@@ -82,8 +82,8 @@ def forms():
     target = cli._competitors(prep, None)[0]
     _, std = cli._relaxation(prep, target, Variant.base())
     return {
-        "margin": (std, cli._config(None)),
-        "radius": (build_strict_feasibility(std), cli._config(None, default=1e-8)),
+        "margin": (std, cli._MARGIN_CONFIG),
+        "radius": (build_strict_feasibility(std), cli._RADIUS_CONFIG),
     }
 
 

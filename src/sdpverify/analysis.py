@@ -201,7 +201,8 @@ SWEEP_CSV_COLUMNS = ("seed", "L", "variant", "target", "gamma", "status",
 
 
 def format_csv(columns, rows) -> str:
-    """CSV text: a header line of `columns`, then one line per row of values.
+    """CSV text: a header line of `columns`, then one line per row, each
+    row a mapping read by column name.
 
     Floats print as `.10g`; every other value prints with `str`.
     """
@@ -209,13 +210,12 @@ def format_csv(columns, rows) -> str:
         return f"{v:.10g}" if isinstance(v, (float, np.floating)) else str(v)
 
     lines = [",".join(columns)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(cell(row[c]) for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def format_sweep_csv(rows: list[SweepRow]) -> str:
     return format_csv(SWEEP_CSV_COLUMNS, (
-        (r.seed, r.L, r.variant, r.target, r.gamma, r.status, r.iterations,
-         r.gap, r.lambda_star, r.radius.status, r.radius.iterations,
-         r.min_eig_bound, r.runtime_ms, r.radius_ms, r.margin_ms) for r in rows
+        {**vars(r), "radius_status": r.radius.status,
+         "radius_iterations": r.radius.iterations} for r in rows
     ))

@@ -5,9 +5,11 @@ the input box, push interval bounds through the layers, prune provably
 inactive neurons, then hand the instance to whichever analysis was asked
 for: the margin SDP (`gamma`, read off in `_margin` only) or the
 inscribed-ball SDP (`lambda*`, `_radius`), serially, on the standard form
-that `_relaxation` builds.  Exit codes encode the verification verdict
-so scripts can branch on them: 0 Robust, 1 Undetermined, 2 SolverFailed,
-3 usage error.
+that `_relaxation` builds.  Margin solves stop at gap 1e-6 and residuals
+1e-7, inscribed-ball solves at 1e-8: the stopping rule decides what a
+verdict means, so it is fixed, not an option.  Exit codes encode the
+verification verdict so scripts can branch on them: 0 Robust,
+1 Undetermined, 2 SolverFailed, 3 usage error.
 
 Set the environment variable IPV_LOG to `1` (stderr) or to a file path
 to print each margin and radius solve's iterations when the solve returns.
@@ -94,6 +96,12 @@ _COMPARE_CSV_COLUMNS = ("target", "gamma_star", "variant", "gamma", "exact_gap",
                         "status", "iterations", "gap")
 
 
+# `run_compare`'s 1e-6 soundness slack and perfbench's reference
+# tolerances assume these stopping rules.
+_MARGIN_CONFIG = _solver.SolverConfig()
+_RADIUS_CONFIG = _solver.SolverConfig(1e-8, 1e-8)  # gap, residuals
+
+
 class UsageError(ValueError):
     """Bad invocation; maps to exit code 3."""
 
@@ -163,11 +171,6 @@ def prepare_instance(net, center, rho, *, wscale=False, prune=True):
     return PreparedInstance(net, lb, predict(net, center), pruned)
 
 
-def _config(gap_tol, default=1e-6):
-    gap = default if gap_tol is None else float(gap_tol)
-    return _solver.SolverConfig(gap_tol=gap, feas_tol=min(1e-7, gap))
-
-
 def _competitors(prep, targets):
     if prep.net.output_dim < 2:
         raise UsageError("network has a single output label; nothing to target")
@@ -207,29 +210,29 @@ def _log(sol):
             fh.write(text)
 
 
-def _margin(prob, std, gap_tol):
+def _margin(prob, std):
     """Solve the margin SDP; returns `(gamma, sol)`."""
-    sol = _solver.solve(std, _config(gap_tol))
+    sol = _solver.solve(std, _MARGIN_CONFIG)
     _log(sol)
     return sol.primal_obj + prob.obj_offset, sol
 
 
-def _radius(std, gap_tol):
+def _radius(std):
     """Solve the inscribed-ball SDP of `std`; returns `(lambda_star, sol)`."""
-    sol = _solver.solve(build_strict_feasibility(std), _config(gap_tol, default=1e-8))
+    sol = _solver.solve(build_strict_feasibility(std), _RADIUS_CONFIG)
     _log(sol)
     return strict_feasibility_value(sol), sol
 
 
 def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
-               wscale=False, prune=True, gap_tol=None):
+               wscale=False, prune=True):
     """Solve the relaxation for each competitor label and fold a verdict."""
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     results = []
     for t in _competitors(prep, targets):
         prob, std = _relaxation(prep, t, variant, dscale)
         t0 = time.perf_counter()
-        gamma, sol = _margin(prob, std, gap_tol)
+        gamma, sol = _margin(prob, std)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         X = unscale_psd_block(std, sol.xblocks[0])
         results.append(TargetResult.of(sol, target=t, gamma=gamma,
@@ -249,7 +252,7 @@ def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
 
 
 def run_diagnose(net, center, rho, variant, *, dscale=False, wscale=False,
-                 prune=True, gap_tol=None):
+                 prune=True):
     """Measure the largest ball inscribed in the variant's feasible set.
 
     The verification objective is irrelevant here, so any competitor
@@ -258,7 +261,7 @@ def run_diagnose(net, center, rho, variant, *, dscale=False, wscale=False,
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     target = _competitors(prep, None)[0]
     _, std = _relaxation(prep, target, variant, dscale)
-    lambda_star, sol = _radius(std, gap_tol)
+    lambda_star, sol = _radius(std)
     center = np.asarray(center, dtype=float)
     return BoundReport.of(
         sol,
@@ -316,9 +319,9 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
             t0 = clock()
             prob, std = _relaxation(prep, target, variant)
             t1 = clock()
-            lambda_star, radius = _radius(std, None)
+            lambda_star, radius = _radius(std)
             t2 = clock()
-            gamma, sol = _margin(prob, std, None)
+            gamma, sol = _margin(prob, std)
             t3 = clock()
             rows.append(SweepRow.of(
                 sol, seed=seed, L=depth, variant=variant.name, target=target,
@@ -331,7 +334,7 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
 
 
 def run_compare(net, center, rho, *, targets=None, eps=Variant.eps,
-                alpha=Variant.alpha, gap_tol=None):
+                alpha=Variant.alpha):
     """Exact margin next to every variant's relaxed margin, per target."""
     prep = prepare_instance(net, center, rho, prune=True)
     out = {"predicted": prep.predicted, "rho": float(rho), "targets": []}
@@ -340,7 +343,7 @@ def run_compare(net, center, rho, *, targets=None, eps=Variant.eps,
         entry = {"target": t, "gamma_star": gamma_star, "variants": {}}
         for name in VARIANT_NAMES:
             variant = Variant(name, eps=eps, alpha=alpha)
-            gamma, sol = _margin(*_relaxation(prep, t, variant), gap_tol)
+            gamma, sol = _margin(*_relaxation(prep, t, variant))
             if sol.status == _solver.OPTIMAL and gamma > gamma_star + 1e-6:
                 raise RuntimeError(
                     f"relaxed margin {gamma} exceeds exact margin {gamma_star} "
@@ -482,8 +485,6 @@ def _add_variant_flags(p):
 
 def _add_output_flags(p):
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--gap-tol", type=float, dest="gap_tol",
-                   help="relative duality-gap tolerance for the solver")
 
 
 def _add_per_target_flags(p):
@@ -560,14 +561,13 @@ def _dispatch(args):
         report = run_verify(
             net, center, args.rho, variant,
             targets=targets, dscale=args.dscale, wscale=args.wscale,
-            prune=not args.no_prune, gap_tol=args.gap_tol,
+            prune=not args.no_prune,
         )
         if args.format == "json":
             _emit(report.to_json(), args.out)
         else:
             _emit(format_csv(_VERIFY_CSV_COLUMNS, (
-                (r.target, report.variant, r.gamma, r.status, r.iterations,
-                 r.gap, r.lambda_min, r.runtime_ms) for r in report.targets
+                {**vars(t), "variant": report.variant} for t in report.targets
             )), args.out)
         return EXIT_BY_VERDICT[report.verdict]
 
@@ -577,7 +577,7 @@ def _dispatch(args):
         report = run_diagnose(
             net, center, args.rho, variant,
             dscale=args.dscale, wscale=args.wscale,
-            prune=not args.no_prune, gap_tol=args.gap_tol,
+            prune=not args.no_prune,
         )
         _emit(report.to_json(), args.out)
         return 0 if report.status == _solver.OPTIMAL else 2
@@ -599,14 +599,12 @@ def _dispatch(args):
         result = run_compare(
             net, center, args.rho,
             targets=targets, eps=args.eps, alpha=args.alpha,
-            gap_tol=args.gap_tol,
         )
         if args.format == "json":
             _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
         else:
             _emit(format_csv(_COMPARE_CSV_COLUMNS, (
-                (entry["target"], entry["gamma_star"], name, cell["gamma"],
-                 cell["exact_gap"], cell["status"], cell["iterations"], cell["gap"])
+                {**entry, "variant": name, **cell}
                 for entry in result["targets"]
                 for name, cell in entry["variants"].items()
             )), args.out)

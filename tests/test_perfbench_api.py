@@ -104,3 +104,38 @@ def test_requests_match_the_reference_traced(api, name, pool, key):
         tracer.uninstall()
     assert run.check(workload, ref, req, result) == []
     assert run.check_counts(workload, ref, req, counts, solves) == []
+
+
+# The solver call behind each reference value, named by its caller.
+_SOLVE_OF = {
+    ("sdpverify.cli", "_margin"): "gamma",
+    ("sdpverify.cli", "_radius"): "lambda_star",
+    ("sdpverify.oracle", "_region_lp"): "gamma_star",
+}
+
+
+def test_solves_stop_at_the_reference_tolerances(api, monkeypatch):
+    """A tolerance tripwire: every margin, radius and oracle LP solve that
+    verify, diagnose, sweep and compare make stops at the gap tolerance
+    that `perfbench/workloads.TOL` lets its value drift by.  A tolerance
+    changed in the package alone fails here before the benchmark's
+    reference check reads a drift as a wrong answer."""
+    tol = _module("workloads").TOL
+    cli, real = api.cli, api.solver.solve
+    seen = []
+
+    def record(prob, config=None):
+        caller = sys._getframe(1)
+        seen.append((caller.f_globals["__name__"], caller.f_code.co_name,
+                     config.gap_tol))
+        return real(prob, config)
+
+    monkeypatch.setattr(api.solver, "solve", record)
+    net, center = cli.random_instance(2, 8, seed=0)
+    cli.run_verify(net, center, 0.1, api.Variant.base())
+    cli.run_diagnose(net, center, 0.1, api.Variant.base())
+    cli.run_sweep(cli.SweepSpec(depths=[2], seeds=[0], variants=["base"]))
+    cli.run_compare(net, center, 0.1)
+    assert {_SOLVE_OF[module, fn] for module, fn, _ in seen} == set(tol)
+    for module, fn, gap_tol in seen:
+        assert gap_tol == tol[_SOLVE_OF[module, fn]], (module, fn)
