@@ -80,7 +80,7 @@ def forms():
     net, center = cli.random_instance(12, 8, seed=0)
     prep = cli.prepare_instance(net, center, 0.1)
     target = cli._competitors(prep, None)[0]
-    _, std = cli._relaxation(prep, target, Variant.base())
+    std = cli._relaxation(prep, target, Variant.base())
     return {
         "margin": (std, cli._MARGIN_CONFIG),
         "radius": (build_strict_feasibility(std), cli._RADIUS_CONFIG),

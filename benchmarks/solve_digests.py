@@ -1,6 +1,7 @@
 """One digest line per solver call of the benchmark's request pools.
 
     python3 benchmarks/solve_digests.py > digests.txt
+    python3 benchmarks/solve_digests.py --nudge rhs > rhs.txt
     python3 benchmarks/solve_digests.py --compare before.txt after.txt
 
 Runs every request in the three pools of `perfbench/reference.json`
@@ -23,8 +24,19 @@ go to stderr.  The package is imported from this checkout's `src/`, so
 to digest another checkout, copy this file into its `benchmarks/`;
 nothing under `perfbench/` is changed.
 
+`--nudge rhs` (or `obj`) hands each solve a copy of its problem in which
+every nonzero b_j (every nonzero objective coefficient) is moved one ulp
+up with `np.nextafter`; the workloads go on with what the copy returns.
+Comparing such a run with a plain one shows which solves a last-bit
+change of the data moves, the fragile set `fragile_set.txt` records.
+
 `--compare OLD NEW` reads two such outputs, made in the same pool order.
-Per workload it prints the number of solves, how many changed status or
+It prints one line per solve that changed status or iteration count:
+
+    moved <workload> <request key> <solve index> <old status> <old iterations> -> <new status> <new iterations>
+
+where the solve index counts the request's solves from 0.  Then per
+workload it prints the number of solves, how many changed status or
 iteration count, how many changed hash, and the largest relative change
 of the primal objective, |new - old| / max(|old|, |new|).  It exits 1 if
 any solve changed status or iteration count, and 2 if the files do not
@@ -38,6 +50,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -62,7 +75,20 @@ def digest(sol) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def nudged(prob, what: str):
+    """A copy of `prob` with every nonzero b_j (`what` "rhs") or objective
+    coefficient ("obj") moved one ulp up."""
+    if what == "rhs":
+        return dataclasses.replace(prob, constraints=[
+            dataclasses.replace(c, rhs=float(np.nextafter(c.rhs, np.inf)))
+            if c.rhs != 0.0 else c for c in prob.constraints])
+    return dataclasses.replace(prob, objective={
+        b: mat._replace(data=np.where(mat.data != 0.0,
+                                      np.nextafter(mat.data, np.inf), mat.data))
+        for b, mat in prob.objective.items()})
+
+
+def main(nudge: str | None) -> None:
     start = time.perf_counter()
     api = run.load_api()
     reference = json.loads((PERFBENCH / "reference.json").read_text())
@@ -70,7 +96,7 @@ def main() -> None:
     lines = []
 
     def recording(prob, config=None):
-        sol = real(prob, config)
+        sol = real(nudged(prob, nudge) if nudge else prob, config)
         m, nnz = _problem_size(prob)
         lines.append(f"{sol.status} {sol.iterations} {digest(sol)} {m} {nnz} "
                      f"{sol.primal_obj!r}")
@@ -103,15 +129,19 @@ def compare(old_path: str, new_path: str) -> int:
         print(f"{len(old)} solves against {len(new)}", file=sys.stderr)
         return 2
     summary = {}
+    index = Counter()
     for a, b in zip(old, new):
         a, b = a.split(), b.split()
         if a[:2] != b[:2]:
             print(f"solve {' '.join(a[:2])} against {' '.join(b[:2])}",
                   file=sys.stderr)
             return 2
+        index[a[0], a[1]] += 1
         row = summary.setdefault(a[0], [0, 0, 0, 0.0])
         row[0] += 1
-        row[1] += a[2:4] != b[2:4]
+        if a[2:4] != b[2:4]:
+            row[1] += 1
+            print("moved", *a[:2], index[a[0], a[1]] - 1, *a[2:4], "->", *b[2:4])
         row[2] += a[4] != b[4]
         pa, pb = float(a[7]), float(b[7])
         if pa != pb:
@@ -125,6 +155,9 @@ def compare(old_path: str, new_path: str) -> int:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
         sys.exit(compare(*sys.argv[2:]))
-    if len(sys.argv) > 1:
-        sys.exit(f"usage: {sys.argv[0]} [--compare OLD NEW]")
-    main()
+    if len(sys.argv) == 1:
+        main(None)
+    elif sys.argv[1:2] == ["--nudge"] and sys.argv[2:] in (["rhs"], ["obj"]):
+        main(sys.argv[2])
+    else:
+        sys.exit(f"usage: {sys.argv[0]} [--nudge rhs|obj | --compare OLD NEW]")

@@ -90,17 +90,20 @@ def min_eigenvalue(M: np.ndarray) -> float:
 
 @dataclass
 class SolveSummary:
-    """How one solve ended; each report subclasses it for its own solve."""
+    """How one solve ended; each report subclasses it for its own solve.
+    `reason` is the solver's account of a NumericalFailure, else empty."""
 
     status: str
     iterations: int
     gap: float
+    reason: str
 
     @classmethod
     def of(cls, sol: _solver.SdpSolution, **fields):
-        """`cls` with `sol`'s status, iterations and gap, plus `fields`."""
+        """`cls` with `sol`'s status, iterations, gap and reason, plus
+        `fields`."""
         return cls(status=sol.status, iterations=sol.iterations, gap=sol.gap,
-                   **fields)
+                   reason=sol.reason, **fields)
 
 
 def _to_json(report) -> str:
@@ -197,7 +200,7 @@ class SweepRow(SolveSummary):
 SWEEP_CSV_COLUMNS = ("seed", "L", "variant", "target", "gamma", "status",
                      "iterations", "gap", "lambda_star", "radius_status",
                      "radius_iterations", "min_eig_bound", "runtime_ms",
-                     "radius_ms", "margin_ms")
+                     "radius_ms", "margin_ms", "reason", "radius_reason")
 
 
 def format_csv(columns, rows) -> str:
@@ -217,5 +220,6 @@ def format_csv(columns, rows) -> str:
 def format_sweep_csv(rows: list[SweepRow]) -> str:
     return format_csv(SWEEP_CSV_COLUMNS, (
         {**vars(r), "radius_status": r.radius.status,
-         "radius_iterations": r.radius.iterations} for r in rows
+         "radius_iterations": r.radius.iterations,
+         "radius_reason": r.radius.reason} for r in rows
     ))

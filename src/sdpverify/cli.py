@@ -91,9 +91,9 @@ __all__ = [
 EXIT_BY_VERDICT = {"Robust": 0, "Undetermined": 1, "SolverFailed": 2}
 
 _VERIFY_CSV_COLUMNS = ("target", "variant", "gamma", "status", "iterations",
-                       "gap", "lambda_min", "runtime_ms")
+                       "gap", "lambda_min", "runtime_ms", "reason")
 _COMPARE_CSV_COLUMNS = ("target", "gamma_star", "variant", "gamma", "exact_gap",
-                        "status", "iterations", "gap")
+                        "status", "iterations", "gap", "reason")
 
 
 # `run_compare`'s 1e-6 soundness slack and perfbench's reference
@@ -188,11 +188,11 @@ def _competitors(prep, targets):
 
 
 def _relaxation(prep, target, variant, dscale=False):
-    """`(prob, std)`: the relaxation against `target` and its standard form."""
+    """The standard form of the relaxation against `target`."""
     prob = build_relaxation(prep.net, prep.bounds, target, variant)
     if dscale:
         prob = apply_dscale(prob, prep.bounds)
-    return prob, to_standard_form(prob)
+    return to_standard_form(prob)
 
 
 def _log(sol):
@@ -203,6 +203,8 @@ def _log(sol):
         return
     text = "".join("iter=%d mu=%.6e pres=%.6e dres=%.6e gap=%.6e\n" % (k, *row)
                    for k, row in enumerate(sol.history))
+    if sol.reason:
+        text += f"reason={sol.reason}\n"
     if dest.lower() in ("1", "true", "yes", "stderr"):
         sys.stderr.write(text)
     else:
@@ -210,11 +212,11 @@ def _log(sol):
             fh.write(text)
 
 
-def _margin(prob, std):
+def _margin(std):
     """Solve the margin SDP; returns `(gamma, sol)`."""
     sol = _solver.solve(std, _MARGIN_CONFIG)
     _log(sol)
-    return sol.primal_obj + prob.obj_offset, sol
+    return sol.primal_obj + std.obj_offset, sol
 
 
 def _radius(std):
@@ -230,9 +232,9 @@ def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     results = []
     for t in _competitors(prep, targets):
-        prob, std = _relaxation(prep, t, variant, dscale)
+        std = _relaxation(prep, t, variant, dscale)
         t0 = time.perf_counter()
-        gamma, sol = _margin(prob, std)
+        gamma, sol = _margin(std)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         X = unscale_psd_block(std, sol.xblocks[0])
         results.append(TargetResult.of(sol, target=t, gamma=gamma,
@@ -260,7 +262,7 @@ def run_diagnose(net, center, rho, variant, *, dscale=False, wscale=False,
     """
     prep = prepare_instance(net, center, rho, wscale=wscale, prune=prune)
     target = _competitors(prep, None)[0]
-    _, std = _relaxation(prep, target, variant, dscale)
+    std = _relaxation(prep, target, variant, dscale)
     lambda_star, sol = _radius(std)
     center = np.asarray(center, dtype=float)
     return BoundReport.of(
@@ -317,11 +319,11 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
         target = max(_competitors(prep, None), key=lambda t: (logits[t], -t))
         for variant in variants:
             t0 = clock()
-            prob, std = _relaxation(prep, target, variant)
+            std = _relaxation(prep, target, variant)
             t1 = clock()
             lambda_star, radius = _radius(std)
             t2 = clock()
-            gamma, sol = _margin(prob, std)
+            gamma, sol = _margin(std)
             t3 = clock()
             rows.append(SweepRow.of(
                 sol, seed=seed, L=depth, variant=variant.name, target=target,
@@ -343,7 +345,7 @@ def run_compare(net, center, rho, *, targets=None, eps=Variant.eps,
         entry = {"target": t, "gamma_star": gamma_star, "variants": {}}
         for name in VARIANT_NAMES:
             variant = Variant(name, eps=eps, alpha=alpha)
-            gamma, sol = _margin(*_relaxation(prep, t, variant))
+            gamma, sol = _margin(_relaxation(prep, t, variant))
             if sol.status == _solver.OPTIMAL and gamma > gamma_star + 1e-6:
                 raise RuntimeError(
                     f"relaxed margin {gamma} exceeds exact margin {gamma_star} "

@@ -27,20 +27,20 @@ Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
 rows r_j, so column j of M needs only V_j = X[:, r_j] (A_j[r_j, :] S^{-1}),
 formed in one stacked product per chunk of constraints with as many rows.
-A diagonal block adds Avec diag(x/s) Avec^T, whose sparsity pattern is
-found once per solve, so each iteration costs one weighted bincount.  One
-Cholesky factor each of X and S per iteration serves S^{-1} and all four
-step lengths; on a diagonal block a step length is one ratio test.
-Factorizations, solves and eigenvalues call LAPACK directly with the
-arguments scipy.linalg would pass, and sparse products A @ x call
-scipy's csr_matvec and csr_matvecs kernels directly as scipy.sparse
-would, without the per-call checks and dispatch, so the iterates are bit
-for bit those of the scipy calls.  Those kernels live in the compiled
-modules scipy/linalg/_flapack and scipy/sparse/_sparsetools, which are
+A diagonal block adds Avec diag(x/s) Avec^T, which scipy's csr_matmat
+forms into an output sized once per solve and csr_todense adds into M.
+One Cholesky factor each of X and S per iteration serves S^{-1} and the
+psd step lengths; the diagonal blocks of both sides share one ratio
+test.  Factorizations, solves and eigenvalues call LAPACK directly with
+the arguments scipy.linalg would pass, and sparse products call scipy's
+csr_matvec, csr_matvecs, csr_matmat and csr_todense kernels directly as
+scipy.sparse would, without the per-call checks and dispatch, so the
+iterates are bit for bit those of the scipy calls.  Those kernels live
+in the compiled modules scipy/linalg/_flapack and scipy/sparse/_sparsetools,
 loaded from scipy's install directory at import time under private
 names (sdpverify._flapack, sdpverify._sparsetools).  Neither scipy.linalg
 nor scipy.sparse is imported: their package imports cost most of a
-process's start-up time and memory, for seven compiled functions.  The
+process's start-up time and memory, for ten compiled functions.  The
 private names keep a later import of scipy.sparse intact: an extension
 loaded under its scipy.* name would already sit in sys.modules when
 scipy.sparse imports it, and would not be bound as its attribute.
@@ -77,14 +77,14 @@ general loop `_solve_blocks`.  The choice reads only the block kinds.
 The exact oracle's LPs are tiny (3 to 7 constraints over at most a dozen
 columns in the benchmark's pool), so numpy's per-call cost, not
 arithmetic, sets their time: the LP path builds a dense A (m, n) and c
-once from the constraint terms, with no compile, csr arrays or sparsity
-pattern, and then A x, A^T y and the Schur matrix (A diag(x/s)) A^T are
-one BLAS call each.  Its `step` is the same predictor-corrector on the
-vectors x, s and y, and it shares the input checks, mu_0 and the
-Unbounded threshold with the general loop through `_checked_start`.  Its
-dense products and dot products round differently from the csr kernels
-and sums, so its iterates are not bit for bit those of the general loop,
-which stays the tests' reference for LPs.
+once from the constraint terms, with no compile or csr arrays, and then
+A x, A^T y and the Schur matrix (A diag(x/s)) A^T are one BLAS call
+each.  Its `step` is the same predictor-corrector on the vectors x, s
+and y, and it shares the input checks, mu_0 and the Unbounded threshold
+with the general loop through `_checked_start`.  Its dense products and
+dot products round differently from the csr kernels and sums, so its
+iterates are not bit for bit those of the general loop, which stays the
+tests' reference for LPs.
 
 Everything is deterministic: same problem and config, same iterates.
 A solve does no I/O: it records each iteration's mu, residuals and gap
@@ -131,6 +131,8 @@ dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 dsyevr, dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
 _sparsetools = _load_scipy_extension("sparse", "_sparsetools")
 csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+csr_matmat, csr_matmat_maxnnz = _sparsetools.csr_matmat, _sparsetools.csr_matmat_maxnnz
+csr_todense = _sparsetools.csr_todense
 
 __all__ = [
     "OPTIMAL",
@@ -190,6 +192,7 @@ class SdpSolution:
     """Final iterate of a solve run, whatever the status.
 
     `history[k]` is `(mu, pres, dres, gap)` at the start of iteration k.
+    `reason` is a NumericalFailure's breakdown message, else empty.
     """
 
     status: str
@@ -203,6 +206,7 @@ class SdpSolution:
     dual_res: float
     iterations: int
     history: list
+    reason: str = ""
 
 
 class _Csr(NamedTuple):
@@ -236,24 +240,12 @@ class _CompiledBlock:
                               (Avec.shape[0], used.size))
             self.vidx = (used % dim) * dim + used // dim
         elif kind == "diag":
-            self._diag_pattern()
-
-    def _diag_pattern(self):
-        """Triples (i, j, k) of M_ij += (A_ik w_k) A_jk in the order scipy's
-        csr_matmat visits them for (Avec diag(w)) @ Avec^T: rows i
-        ascending, then row i's stored columns k, then column k's stored
-        rows j.  Summing in that order by bincount reproduces its M."""
-        A, AT = self.Avec, self.AvecT
-        m = A.shape[0]
-        per_entry = np.diff(AT.indptr)[A.indices]  # rows j under entry (i, k)
-        self.entry = np.repeat(np.arange(self.nnz), per_entry)
-        first = np.cumsum(per_entry) - per_entry
-        pos = np.arange(self.entry.size) + np.repeat(
-            AT.indptr[A.indices] - first, per_entry
-        )
-        rows = np.repeat(np.arange(m), np.diff(A.indptr))
-        self.pair = rows[self.entry] * m + AT.indices[pos]
-        self.right = AT.data[pos]
+            # csr arrays of (Avec diag(w)) @ Avec^T, sized once for every w
+            m = Avec.shape[0]
+            nnz = csr_matmat_maxnnz(m, m, Avec.indptr, Avec.indices,
+                                    AvecT.indptr, AvecT.indices)
+            self.product = (np.empty(m + 1, dtype=np.int64),
+                            np.empty(nnz, dtype=np.int64), np.empty(nnz))
 
 
 def _csr(data, indices, owner, shape) -> _Csr:
@@ -353,14 +345,12 @@ def _matvec(A, x: np.ndarray) -> np.ndarray:
 
 
 def _matvecs(A, X: np.ndarray) -> np.ndarray:
-    """A @ X for a csr A and a 2-d X, as scipy computes it: one column by
-    `_matvec`, more by its csr_matvecs kernel."""
+    """A @ X for a csr A and a 2-d X, as scipy computes it: its csr_matvecs
+    kernel, which for one column adds csr_matvec's products in its order."""
     m, n = A.shape
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError(f"matvecs: expected shape ({n}, k), got {X.shape}")
     k = X.shape[1]
-    if k == 1:
-        return _matvec(A, X.ravel()).reshape(m, 1)
     out = np.zeros((m, k))
     csr_matvecs(m, n, k, A.indptr, A.indices, A.data, X.ravel(), out.ravel())
     return out
@@ -454,11 +444,10 @@ def _residual_triplet(compiled, bvec, dscale, xblocks, y, rd_blocks):
     return pres, dres, gap, pobj, dobj
 
 
-def _potrf(a: np.ndarray, clean: int):
-    """Lower Cholesky factor by dpotrf with the flags of scipy's `cholesky`
-    (clean=1) or `cho_factor` (clean=0); None if `a` is not positive
-    definite."""
-    c, info = dpotrf(a, lower=1, clean=clean)
+def _potrf(a: np.ndarray):
+    """Lower Cholesky factor by dpotrf as `cho_factor(a, lower=True)`, whose
+    upper triangle no caller reads; None if `a` is not positive definite."""
+    c, info = dpotrf(a, lower=1, clean=0)
     return None if info > 0 else c
 
 
@@ -468,11 +457,9 @@ def _potrs(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _trtrs(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} b by dtrtrs, as scipy's `solve_triangular(L, b, lower=True)`:
-    a factor that is not Fortran-ordered goes in as its transpose."""
-    if L.flags.f_contiguous:
-        return dtrtrs(L, b, lower=1, trans=0)[0]
-    return dtrtrs(L.T, b, lower=0, trans=1)[0]
+    """L^{-1} b by dtrtrs, as scipy's `solve_triangular(L, b, lower=True)`
+    for a Fortran-ordered L, as `_potrf` gives."""
+    return dtrtrs(L, b, lower=1, trans=0)[0]
 
 
 @lru_cache(maxsize=64)
@@ -497,13 +484,13 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 def _chol_factor_schur(M: np.ndarray):
     if not np.isfinite(M).all():
         raise _NumericalProblem("non-finite Schur complement")
-    L = _potrf(M, clean=0)
+    L = _potrf(M)
     if L is not None:
         return L
     scale = max(1.0, float(np.abs(np.diag(M)).max())) if M.size else 1.0
     eye = np.eye(M.shape[0])
     for reg in _REG_LADDER:
-        L = _potrf(M + reg * scale * eye, clean=0)
+        L = _potrf(M + reg * scale * eye)
         if L is not None:
             return L
     raise _NumericalProblem("Schur complement factorization failed")
@@ -517,9 +504,12 @@ def _schur(compiled, xblocks, sblocks, sinv, m) -> np.ndarray:
         if cb.nnz == 0 or cb.kind == "free":
             continue
         if cb.kind == "diag":
-            weighted = cb.Avec.data * (xb / sb)[cb.Avec.indices]
-            M += np.bincount(cb.pair, weighted[cb.entry] * cb.right,
-                             minlength=m * m).reshape(m, m)
+            # M += (Avec diag(x/s)) @ Avec^T as scipy's csr @ csr and
+            # toarray form it; M holds no -0.0, so adding 0.0 changes nothing
+            A, AT = cb.Avec, cb.AvecT
+            csr_matmat(m, m, A.indptr, A.indices, A.data * (xb / sb)[A.indices],
+                       AT.indptr, AT.indices, AT.data, *cb.product)
+            csr_todense(m, m, *cb.product, M)
             continue
         for ids, rows, Asub in cb.chunks:
             # V_j = X[:, rows_j] @ (A_j[rows_j, :] @ S^{-1}), one per slice
@@ -531,7 +521,7 @@ def _schur(compiled, xblocks, sblocks, sinv, m) -> np.ndarray:
 
 def _cone_factor(mat: np.ndarray, side: str) -> np.ndarray:
     """Lower Cholesky factor of a psd iterate, which is finite by construction."""
-    L = _potrf(mat, clean=1)
+    L = _potrf(mat)
     if L is None:
         raise _NumericalProblem(f"{side} iterate left the cone")
     return L
@@ -543,28 +533,17 @@ def _psd_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _max_step_psd(L: np.ndarray, dX: np.ndarray) -> float:
-    """Largest t with L L^T + t dX still positive semidefinite."""
-    if not np.isfinite(dX).all():
-        raise _NumericalProblem("non-finite direction")
+    """Largest t with L L^T + t dX psd; `_eigvalsh` rejects a non-finite dX."""
     W = _trtrs(L, dX)
     W = _trtrs(L, W.T)
     lam = float(_eigvalsh((W + W.T) / 2.0)[0])
     return np.inf if lam >= 0.0 else -1.0 / lam
 
 
-def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
-    if not np.isfinite(dx).all():
-        raise _NumericalProblem("non-finite direction")
-    neg = dx < 0.0
-    if not neg.any():
-        return np.inf
-    return float((-x[neg] / dx[neg]).min())
-
-
 def _ratio_steps(x: np.ndarray, dx: np.ndarray, s: np.ndarray, ds: np.ndarray,
                  frac: float) -> tuple[float, float]:
-    """min(1, frac * _max_step_diag(x, dx)) and the same for (s, ds), by one
-    ratio test over both pairs: the same values in fewer numpy calls."""
+    """min(1, frac * t) for the largest t >= 0 with x + t dx >= 0, and the
+    same for (s, ds), by one ratio test over both pairs."""
     d = np.concatenate((dx, ds))
     if not np.isfinite(d).all():
         raise _NumericalProblem("non-finite direction")
@@ -574,17 +553,25 @@ def _ratio_steps(x: np.ndarray, dx: np.ndarray, s: np.ndarray, ds: np.ndarray,
     return min(1.0, -frac * p), min(1.0, -frac * q)
 
 
-def _max_step(compiled, cones, dxblocks) -> float:
-    """Largest step along `dxblocks`; `cones`: psd factors, diagonal iterates."""
-    step = np.inf
-    for cb, xb, dxb in zip(compiled, cones, dxblocks):
+def _steps(compiled, xcones, dX, scones, dS, frac: float) -> tuple[float, float]:
+    """(primal, dual) step lengths min(1, frac * t), t the largest step along
+    dX (dS) that keeps every block in its cone; `xcones`, `scones`: psd
+    factors, diagonal iterates.  The diagonal blocks of both sides take one
+    `_ratio_steps`; a non-finite direction anywhere is a _NumericalProblem."""
+    tx = ts = np.inf
+    diag = []
+    for cb, x, dx, s, ds in zip(compiled, xcones, dX, scones, dS):
         if cb.kind == "psd":
-            step = min(step, _max_step_psd(xb, dxb))
+            tx = min(tx, _max_step_psd(x, dx))
+            ts = min(ts, _max_step_psd(s, ds))
         elif cb.kind == "diag":
-            step = min(step, _max_step_diag(xb, dxb))
-        elif not np.isfinite(dxb).all():
+            diag.append((x, dx, s, ds))
+        elif not (np.isfinite(dx).all() and np.isfinite(ds).all()):
             raise _NumericalProblem("non-finite direction")
-    return step
+    ap = ad = 1.0
+    if diag:
+        ap, ad = _ratio_steps(*map(np.concatenate, zip(*diag)), frac)
+    return min(ap, frac * tx), min(ad, frac * ts)
 
 
 def solve(prob: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
@@ -612,27 +599,32 @@ def _centering(mu_aff: float, mu: float) -> float:
 
 
 def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
-             finish) -> SdpSolution:
+             blocks) -> SdpSolution:
     """The iteration policy of both solve paths (module docstring), from
     the start `state`.  `measure(state)` gives (pres, dres, gap, pobj, dobj,
     mu, aux), `step(state, mu, aux)` the next state with its primal and
-    dual step lengths, and `finish(state, meas, status, k, history)` the
-    solution from the returned state and its measurement `meas`.  Each
-    iterate is measured once: its measurement goes with it into the best
-    iterate kept and into `finish`.  Steps build new arrays, so keeping the
-    best state needs no copy."""
+    dual step lengths, and `blocks(state)` the solution's (xblocks, y,
+    sblocks).  Each iterate is measured once: its measurement goes with it
+    into the best iterate kept and into the solution.  Steps build new
+    arrays, so keeping the best state needs no copy."""
     history = []
     best_score, best = np.inf, None
-    status, stall, k = MAX_ITERATIONS, 0, 0
+    status, stall, k, reason = MAX_ITERATIONS, 0, 0, ""
+
+    def finish(state, meas, status):
+        pres, dres, gap, pobj, dobj = meas[:5]
+        return SdpSolution(status, *blocks(state), pobj, dobj, gap, pres, dres,
+                           k, history, reason)
+
     try:
         for k in range(cfg.max_iter):
             meas = measure(state)
             pres, dres, gap, pobj, _, mu, aux = meas
             history.append((mu, pres, dres, gap))
             if gap <= cfg.gap_tol and pres <= cfg.feas_tol and dres <= cfg.feas_tol:
-                return finish(state, meas, OPTIMAL, k, history)
+                return finish(state, meas, OPTIMAL)
             if pobj < unbounded_obj:
-                return finish(state, meas, UNBOUNDED, k, history)
+                return finish(state, meas, UNBOUNDED)
             score = max(pres, dres, gap)
             if score < best_score:
                 best_score, best = score, (state, meas)
@@ -644,11 +636,11 @@ def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
         else:
             k = cfg.max_iter
             meas = measure(state)
-    except _NumericalProblem:
-        status = NUMERICAL_FAILURE
+    except _NumericalProblem as exc:
+        status, reason = NUMERICAL_FAILURE, str(exc)
     if best is not None and best_score < max(meas[:3]):
         state, meas = best
-    return finish(state, meas, status, k, history)
+    return finish(state, meas, status)
 
 
 def _lp_data(prob: SdpProblem):
@@ -718,13 +710,12 @@ def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         ap, ad = _ratio_steps(x, dx, s, ds, _TAU)
         return (x + ap * dx, y + ad * dy, s + ad * ds), ap, ad
 
-    def finish(state, meas, status, k, history):
-        (x, y, s), (pres, dres, gap, pobj, dobj) = state, meas[:5]
-        return SdpSolution(status, np.split(x, cuts), y, np.split(s, cuts), pobj,
-                           dobj, gap, pres, dres, k, history)
+    def blocks(state):
+        x, y, s = state
+        return np.split(x, cuts), y, np.split(s, cuts)
 
     state = (np.full(n, mu0), np.zeros(m), np.full(n, mu0))
-    return _iterate(cfg, state, unbounded_obj, measure, step, finish)
+    return _iterate(cfg, state, unbounded_obj, measure, step, blocks)
 
 
 def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
@@ -774,7 +765,7 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         if free:
             MiB = _potrs(factor, Bfree)
             BtMiB = Bfree.T @ MiB
-            BtMiB_factor = _potrf((BtMiB + BtMiB.T) / 2.0, clean=0)
+            BtMiB_factor = _potrf((BtMiB + BtMiB.T) / 2.0)
             if BtMiB_factor is None:
                 raise _NumericalProblem("free-variable complement is singular")
             rf_now = np.concatenate([rd_blocks[bi] for bi in free])
@@ -816,8 +807,7 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 
         # predictor: pure Newton step toward complementarity zero
         dxa, _, dsa = newton(0.0, None)
-        ap_aff = min(1.0, _max_step(compiled, xcones, dxa))
-        ad_aff = min(1.0, _max_step(compiled, scones, dsa))
+        ap_aff, ad_aff = _steps(compiled, xcones, dxa, scones, dsa, 1.0)
         mu_aff = sum(
             float(((xb + ap_aff * dx) * (sb + ad_aff * ds)).sum())
             for xb, dx, sb, ds in zip(xblocks, dxa, sblocks, dsa)
@@ -827,18 +817,13 @@ def _solve_blocks(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         # dX_aff dS_aff S^{-1}, formed once for the rhs and for dX
         corr = list(map(_mul, compiled, dxa, dsa, sinv))
         dxb, dy, dsb = newton(_centering(mu_aff, mu) * mu, corr)
-        ap = min(1.0, _TAU * _max_step(compiled, xcones, dxb))
-        ad = min(1.0, _TAU * _max_step(compiled, scones, dsb))
+        ap, ad = _steps(compiled, xcones, dxb, scones, dsb, _TAU)
         xblocks = [_sym(cb, xb + ap * dx)
                    for cb, xb, dx in zip(compiled, xblocks, dxb)]
         sblocks = [_sym(cb, sb + ad * ds)
                    for cb, sb, ds in zip(compiled, sblocks, dsb)]
         return (xblocks, y + ad * dy, sblocks), ap, ad
 
-    def finish(state, meas, status, k, history):
-        pres, dres, gap, pobj, dobj = meas[:5]
-        return SdpSolution(status, *state, pobj, dobj, gap, pres, dres, k, history)
-
     state = ([start(blk) for blk in prob.blocks], np.zeros(m),
              [start(blk) for blk in prob.blocks])
-    return _iterate(cfg, state, unbounded_obj, measure, step, finish)
+    return _iterate(cfg, state, unbounded_obj, measure, step, lambda state: state)

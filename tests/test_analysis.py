@@ -100,7 +100,7 @@ def test_min_eigenvalue():
 
 def _result(gamma=0.3, status="Optimal"):
     return TargetResult(target=1, gamma=gamma, status=status, iterations=9,
-                        gap=1e-8, lambda_min=0.01, runtime_ms=1.0)
+                        gap=1e-8, reason="", lambda_min=0.01, runtime_ms=1.0)
 
 
 def test_verdict_rules():
@@ -126,39 +126,46 @@ def test_reports_serialize_to_json():
     assert data["verdict"] == "Robust"
     assert data["targets"][0]["gamma"] == pytest.approx(0.3)
     assert data["targets"][0]["iterations"] == 9
+    assert data["targets"][0]["reason"] == ""
     bound = BoundReport(
-        variant="base", lambda_star=np.float64(0.25), status="Optimal",
-        gap=1e-9, iterations=12, min_eig_bound=3.25,
+        variant="base", lambda_star=np.float64(0.25), status="NumericalFailure",
+        gap=1e-9, iterations=12, reason="dual iterate left the cone",
+        min_eig_bound=3.25,
         trace_bounds=[np.float64(2.25), np.float64(3.25)],
     )
     data = json.loads(bound.to_json())
     assert sorted(data) == ["gap", "iterations", "lambda_star", "layer_sizes",
-                            "min_eig_bound", "pruned_neurons", "status",
+                            "min_eig_bound", "pruned_neurons", "reason", "status",
                             "trace_bounds", "variant"]
+    assert data["reason"] == "dual iterate left the cone"
     assert data["lambda_star"] == pytest.approx(0.25)
     assert data["trace_bounds"] == [2.25, 3.25]
 
 
 def test_reports_take_their_solve_fields_from_one_summary():
-    """`status`, `iterations` and `gap` are declared once, on `SolveSummary`,
-    and `of` copies them off a solution."""
-    sol = SimpleNamespace(status="MaxIterations", iterations=200, gap=3e-5)
+    """`status`, `iterations`, `gap` and `reason` are declared once, on
+    `SolveSummary`, and `of` copies them off a solution."""
+    sol = SimpleNamespace(status="NumericalFailure", iterations=200, gap=3e-5,
+                          reason="primal iterate left the cone")
     for cls, extra in ((TargetResult, dict(target=1, gamma=0.5, lambda_min=0.0,
                                            runtime_ms=1.0)),
                        (BoundReport, dict(variant="base", lambda_star=0.1,
                                           min_eig_bound=1.0, trace_bounds=[]))):
         assert issubclass(cls, SolveSummary)
         rep = cls.of(sol, **extra)
-        assert (rep.status, rep.iterations, rep.gap) == ("MaxIterations", 200, 3e-5)
+        assert (rep.status, rep.iterations, rep.gap, rep.reason) == (
+            "NumericalFailure", 200, 3e-5, "primal iterate left the cone")
     for cls in (TargetResult, BoundReport, SweepRow):
-        assert not {"status", "iterations", "gap"} & set(inspect.get_annotations(cls))
+        assert not ({"status", "iterations", "gap", "reason"}
+                    & set(inspect.get_annotations(cls)))
 
 
 def test_sweep_csv_formatting():
     row = SweepRow(seed=0, L=2, variant="base", target=1,
                    gamma=0.123456789123, status="Optimal", iterations=17,
-                   gap=1e-9, lambda_star=0.25,
-                   radius=SolveSummary("NumericalFailure", 42, 1e-3),
+                   gap=1e-9, reason="", lambda_star=0.25,
+                   radius=SolveSummary("NumericalFailure", 42, 1e-3,
+                                       "Schur complement factorization failed"),
                    min_eig_bound=3.25, runtime_ms=12.5, radius_ms=5.25,
                    margin_ms=6.0)
     text = format_sweep_csv([row])
@@ -167,7 +174,9 @@ def test_sweep_csv_formatting():
     assert SWEEP_CSV_COLUMNS == (
         "seed", "L", "variant", "target", "gamma", "status", "iterations",
         "gap", "lambda_star", "radius_status", "radius_iterations",
-        "min_eig_bound", "runtime_ms", "radius_ms", "margin_ms")
+        "min_eig_bound", "runtime_ms", "radius_ms", "margin_ms", "reason",
+        "radius_reason")
     assert line == ("0,2,base,1,0.1234567891,Optimal,17,1e-09,0.25,"
-                    "NumericalFailure,42,3.25,12.5,5.25,6")
+                    "NumericalFailure,42,3.25,12.5,5.25,6,,"
+                    "Schur complement factorization failed")
     assert text.endswith("\n")

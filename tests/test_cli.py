@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_net
+from helpers import coo, make_net
 from sdpverify.analysis import (
     SWEEP_CSV_COLUMNS,
     SolveSummary,
@@ -34,8 +34,8 @@ from sdpverify.cli import (
 )
 from sdpverify import cli
 from sdpverify.network import Network, load, save
-from sdpverify.sdpform import VARIANT_NAMES, Variant
-from sdpverify.solver import SolverConfig
+from sdpverify.sdpform import VARIANT_NAMES, Block, Constraint, SdpProblem, Variant
+from sdpverify.solver import SolverConfig, solve
 
 TRACE_LINE = re.compile(r"^iter=\d+ mu=\S+ pres=\S+ dres=\S+ gap=\S+$")
 
@@ -179,7 +179,7 @@ def test_verify_csv_output(tmp_path, capsys, monkeypatch):
     text = capsys.readouterr().out
     lines = text.strip().splitlines()
     assert lines[0] == ("target,variant,gamma,status,iterations,gap,lambda_min,"
-                        "runtime_ms")
+                        "runtime_ms,reason")
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "1" and fields[1] == "base" and fields[3] == "Optimal"
@@ -187,7 +187,7 @@ def test_verify_csv_output(tmp_path, capsys, monkeypatch):
     (rep,) = reports
     assert text == lines[0] + "\n" + "".join(
         f"{r.target},{rep.variant},{r.gamma:.10g},{r.status},{r.iterations},"
-        f"{r.gap:.10g},{r.lambda_min:.10g},{r.runtime_ms:.10g}\n"
+        f"{r.gap:.10g},{r.lambda_min:.10g},{r.runtime_ms:.10g},{r.reason}\n"
         for r in rep.targets
     )
 
@@ -221,6 +221,25 @@ def test_solver_trace_to_file(tmp_path, monkeypatch):
         f"iter={k} mu={mu:.6e} pres={pres:.6e} dres={dres:.6e} gap={gap:.6e}"
         for k, (mu, pres, dres, gap) in enumerate(sol.history)
     ]
+
+
+def test_solver_trace_ends_with_the_failure_reason(tmp_path, monkeypatch):
+    """A NumericalFailure solve's IPV_LOG rows end with the reason it
+    failed; a solve that ends otherwise prints its rows alone."""
+    log = tmp_path / "trace.log"
+    monkeypatch.setenv("IPV_LOG", str(log))
+    infeasible = SdpProblem(
+        blocks=(Block("diag", 2), Block("diag", 1)),
+        objective={0: coo(np.diag([1.0, 2.0]))},
+        obj_offset=0.0,
+        constraints=[Constraint({0: coo(np.eye(2))}, -1.0, "=", "sum")])
+    sol = solve(infeasible)
+    assert (sol.status, sol.reason) == ("NumericalFailure", "non-finite direction")
+    cli._log(sol)
+    lines = log.read_text().splitlines()
+    assert len(lines) == len(sol.history) + 1
+    assert all(TRACE_LINE.match(line) for line in lines[:-1])
+    assert lines[-1] == "reason=non-finite direction"
 
 
 def test_solver_trace_to_missing_directory(tmp_path, monkeypatch, capsys):
@@ -272,7 +291,8 @@ def test_sweep_rows_match_verify_and_diagnose(tmp_path, monkeypatch):
         # with two output labels diagnose builds against the same target
         diag = run_diagnose(net, center, 0.1, variant)
         assert row.lambda_star == diag.lambda_star
-        assert row.radius == SolveSummary(diag.status, diag.iterations, diag.gap)
+        assert row.radius == SolveSummary(diag.status, diag.iterations, diag.gap,
+                                          diag.reason)
     starts = [line for line in log.read_text().splitlines()
               if line.startswith("iter=0 ")]
     assert len(starts) == 2 * len(rows)
@@ -292,7 +312,7 @@ def test_sweep_deterministic_with_injected_clock():
         f"{r.seed},{r.L},{r.variant},{r.target},{r.gamma:.10g},{r.status},"
         f"{r.iterations},{r.gap:.10g},{r.lambda_star:.10g},{r.radius.status},"
         f"{r.radius.iterations},{r.min_eig_bound:.10g},{r.runtime_ms:.10g},"
-        f"{r.radius_ms:.10g},{r.margin_ms:.10g}\n"
+        f"{r.radius_ms:.10g},{r.margin_ms:.10g},{r.reason},{r.radius.reason}\n"
         for r in one
     )
     # four clock reads per row, 1 ms apart: build, radius solve, margin solve
@@ -348,13 +368,13 @@ def test_compare_cli_csv(tmp_path, capsys, monkeypatch):
     text = capsys.readouterr().out
     lines = text.strip().splitlines()
     assert lines[0] == ("target,gamma_star,variant,gamma,exact_gap,status,"
-                        "iterations,gap")
+                        "iterations,gap,reason")
     assert len(lines) == 1 + len(VARIANT_NAMES)  # one row per variant
     (res,) = results
     assert text == lines[0] + "\n" + "".join(
         f"{e['target']},{e['gamma_star']:.10g},{name},"
         f"{c['gamma']:.10g},{c['exact_gap']:.10g},{c['status']},"
-        f"{c['iterations']},{c['gap']:.10g}\n"
+        f"{c['iterations']},{c['gap']:.10g},{c['reason']}\n"
         for e in res["targets"] for name, c in e["variants"].items()
     )
 

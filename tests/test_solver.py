@@ -44,14 +44,13 @@ from sdpverify.solver import (
     _eigvalsh,
     _matvec,
     _matvecs,
-    _max_step,
-    _max_step_diag,
     _max_step_psd,
     _potrf,
     _potrs,
     _psd_inverse,
     _ratio_steps,
     _schur,
+    _steps,
     _trtrs,
     solve,
 )
@@ -454,8 +453,7 @@ def test_schur_assembly_matches_per_constraint_loop():
     target = _competitors(prep, None)[0]
     problems = []
     for variant in (Variant.base(), Variant("eps"), Variant("bremove")):
-        _, std = _relaxation(prep, target, variant)
-        problems.append(std)
+        problems.append(_relaxation(prep, target, variant))
     problems.append(build_strict_feasibility(problems[0]))
     rng = np.random.default_rng(47)
     for _ in range(3):
@@ -585,7 +583,7 @@ def _policy_cases():
                  blocks=(Block("diag", 2), Block("diag", 1)))
     net, center = random_instance(10, 8, seed=8)
     prep = prepare_instance(net, center, 0.1)
-    _, sdp = _relaxation(prep, _competitors(prep, None)[0], Variant.base())
+    sdp = _relaxation(prep, _competitors(prep, None)[0], Variant.base())
     return [("lp", lambda: solver._solve_lp(lp, SolverConfig())),
             ("blocks", lambda: solver._solve_blocks(lp, SolverConfig())),
             ("sdp", lambda: solve(sdp))]
@@ -603,15 +601,19 @@ def test_three_stalled_steps_end_either_path(monkeypatch):
 
 def test_breakdown_returns_the_best_iterate_on_either_path():
     """A numerical breakdown hands back the iterate whose max(pres, dres,
-    gap) is the least over the run's history."""
-    iterations = {}
+    gap) is the least over the run's history, and says why it broke down."""
+    iterations, reasons = {}, {}
     for name, run in _policy_cases():
         sol = run()
         assert sol.status == "NumericalFailure", name
-        iterations[name] = sol.iterations
+        iterations[name], reasons[name] = sol.iterations, sol.reason
         best = min(max(row[1:]) for row in sol.history)
         assert max(sol.primal_res, sol.dual_res, sol.gap) == best, name
     assert iterations == {"lp": 18, "blocks": 23, "sdp": 36}
+    # the breakdown's message is kept as the solution's reason
+    assert reasons == {"lp": "non-finite direction",
+                       "blocks": "non-finite direction",
+                       "sdp": "primal iterate left the cone"}
 
 
 def test_each_iterate_is_measured_once(monkeypatch):
@@ -634,6 +636,7 @@ def test_each_iterate_is_measured_once(monkeypatch):
         calls.clear()
         sol = solver._solve_blocks(prob, cfg)
         assert sol.status == status
+        assert (sol.reason == "") == (status != "NumericalFailure")
         assert len(calls) == len(sol.history) + extra, status
     lp = _simple({0: coo(np.diag([1.0, 2.0]))},
                  [Constraint({0: coo(np.eye(2))}, 1.0, "=", "sum")],
@@ -650,20 +653,18 @@ def test_lapack_wrappers_match_scipy_bit_for_bit():
         P = _spd(rng, d)
         B = rng.normal(size=(d, 3))
         for a in (P, np.asfortranarray(P)):
-            assert np.array_equal(_potrf(a, clean=1),
-                                  sla.cholesky(a, lower=True))
-            assert np.array_equal(_potrf(a, clean=0),
-                                  sla.cho_factor(a, lower=True)[0])
-        L = sla.cholesky(P, lower=True)
-        for f in (L, np.ascontiguousarray(L)):
-            for b in (B, np.asfortranarray(B), B[:, 0]):
+            assert np.array_equal(_potrf(a), sla.cho_factor(a, lower=True)[0])
+        # every factor the solver holds comes from `_potrf`: Fortran-ordered
+        L = _potrf(P)
+        assert L.flags.f_contiguous
+        for b in (B, np.asfortranarray(B), B[:, 0]):
+            assert np.array_equal(_trtrs(L, b),
+                                  sla.solve_triangular(L, b, lower=True))
+            for f in (L, np.ascontiguousarray(L)):
                 assert np.array_equal(_potrs(f, b), sla.cho_solve((f, True), b))
-                assert np.array_equal(_trtrs(f, b),
-                                      sla.solve_triangular(f, b, lower=True))
         W = rng.normal(size=(d, d))
         for a in ((W + W.T) / 2.0, np.asfortranarray((W + W.T) / 2.0)):
             assert np.array_equal(_eigvalsh(a), sla.eigvalsh(a))
-    assert not np.ascontiguousarray(L).flags.f_contiguous
 
 
 def test_csr_kernels_match_scipy_bit_for_bit():
@@ -704,8 +705,8 @@ import scipy.linalg, scipy.sparse
 assert scipy.sparse._sparsetools.csr_matvec
 assert scipy.linalg._flapack.dpotrf
 a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-assert np.array_equal(scipy.linalg.cholesky(a, lower=True),
-                      solver._potrf(a, clean=1))
+assert np.array_equal(scipy.linalg.cho_factor(a, lower=True)[0],
+                      solver._potrf(a))
 """
 
 
@@ -748,39 +749,54 @@ def test_first_solves_leave_numpy_ma_unimported():
 
 
 def test_diagonal_steps_merge_into_one_pass():
-    """The step over several blocks is the least of the blocks' own steps,
-    and the LP path's paired ratio test gives each pair's own step."""
+    """`_steps` gives each side min(1, frac * t), t the least step any block
+    allows: psd blocks by `_max_step_psd`, the diagonal blocks of both
+    sides by one ratio test, free blocks none.  A non-finite direction in
+    any block is a breakdown."""
     rng = np.random.default_rng(50)
     kinds = ["diag", "psd", "diag", "free", "diag"]
     compiled = [SimpleNamespace(kind=k) for k in kinds]
-    P = _spd(rng, 3)
+    P, Q = _spd(rng, 3), _spd(rng, 3)
+
+    def ratio(x, dx):
+        neg = dx < 0.0
+        return float((-x[neg] / dx[neg]).min()) if neg.any() else np.inf
+
+    def sym(d):
+        W = rng.normal(size=(d, d))
+        return W + W.T
+
     for _ in range(5):
-        cones = [rng.uniform(0.5, 2.0, 3), sla.cholesky(P, lower=True),
-                 rng.uniform(0.5, 2.0, 1), rng.normal(size=2),
-                 rng.uniform(0.5, 2.0, 4)]
-        dirs = [rng.normal(size=3), -P, rng.normal(size=1), rng.normal(size=2),
-                rng.normal(size=4)]
-        per_block = [_max_step_diag(x, dx) for x, dx in
-                     zip(cones[::2], dirs[::2])] + [_max_step_psd(cones[1], dirs[1])]
-        assert _max_step(compiled, cones, dirs) == min(per_block)
+        xs = [rng.uniform(0.5, 2.0, 3), _potrf(P), rng.uniform(0.5, 2.0, 1),
+              rng.normal(size=2), rng.uniform(0.5, 2.0, 4)]
+        ss = [rng.uniform(0.5, 2.0, 3), _potrf(Q), rng.uniform(0.5, 2.0, 1),
+              np.zeros(2), rng.uniform(0.5, 2.0, 4)]
+        dX = [rng.normal(size=3), 4.0 * sym(3), rng.normal(size=1),
+              rng.normal(size=2), rng.normal(size=4)]
+        dS = [rng.normal(size=3), 4.0 * sym(3), rng.normal(size=1), np.zeros(2),
+              rng.normal(size=4)]
         for frac in (1.0, _TAU):
-            pair = _ratio_steps(cones[0], dirs[0], cones[4], dirs[4], frac)
-            assert pair == tuple(min(1.0, frac * _max_step_diag(x, dx)) for x, dx
-                                 in ((cones[0], dirs[0]), (cones[4], dirs[4])))
-    up = [np.abs(d) for d in dirs]
-    up[1] = P
-    assert _max_step(compiled, cones, up) == np.inf
-    for bi in range(len(kinds)):
-        bad = list(dirs)
-        bad[bi] = np.full_like(dirs[bi], np.nan)
-        with pytest.raises(_NumericalProblem):
-            _max_step(compiled, cones, bad)
+            want = tuple(
+                min(1.0, frac * min(
+                    [ratio(c[i], d[i]) for i in (0, 2, 4)]
+                    + [_max_step_psd(c[1], d[1])]))
+                for c, d in ((xs, dX), (ss, dS)))
+            assert _steps(compiled, xs, dX, ss, dS, frac) == want
+            assert want != (1.0, 1.0)
+    up = [np.abs(dX[0]), P, np.abs(dX[2]), dX[3], np.abs(dX[4])]
+    assert _steps(compiled, xs, up, ss, up, _TAU) == (1.0, 1.0)
+    for side in (dX, dS):
+        for bi in range(len(kinds)):
+            bad = list(side)
+            bad[bi] = np.full_like(side[bi], np.nan)
+            args = (bad, ss, dS) if side is dX else (dX, ss, bad)
+            with pytest.raises(_NumericalProblem):
+                _steps(compiled, xs, *args, 1.0)
     with pytest.raises(_NumericalProblem):
-        _ratio_steps(cones[0], dirs[0], cones[2], np.array([np.nan]), 1.0)
-    assert _ratio_steps(cones[0], np.abs(dirs[0]), cones[2], up[2], _TAU) == (1.0, 1.0)
+        _ratio_steps(xs[0], dX[0], xs[2], np.array([np.nan]), 1.0)
 
 
 def test_cone_factor_rejects_indefinite_iterate():
     with pytest.raises(_NumericalProblem):
         _cone_factor(np.diag([1.0, -1e-3]), "primal")
-    assert _potrf(np.diag([1.0, -1e-3]), clean=0) is None
+    assert _potrf(np.diag([1.0, -1e-3])) is None
