@@ -2,6 +2,7 @@
 
     python3 benchmarks/solve_digests.py > digests.txt
     python3 benchmarks/solve_digests.py --nudge rhs > rhs.txt
+    python3 benchmarks/solve_digests.py --dscale > dscale.txt
     python3 benchmarks/solve_digests.py --compare before.txt after.txt
 
 Runs every request in the three pools of `perfbench/reference.json`
@@ -30,6 +31,10 @@ up with `np.nextafter`; the workloads go on with what the copy returns.
 Comparing such a run with a plain one shows which solves a last-bit
 change of the data moves, the fragile set `fragile_set.txt` records.
 
+`--dscale` runs the verify-deep pool alone, with `sdpverify.cli.run_verify`
+wrapped to pass `dscale=True`, so its lines digest the scaled relaxation's
+solves.  Two checkouts' `--dscale` outputs compare as plain ones do.
+
 `--compare OLD NEW` reads two such outputs, made in the same pool order.
 It prints one line per solve that changed status or iteration count:
 
@@ -51,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -88,11 +94,11 @@ def nudged(prob, what: str):
         for b, mat in prob.objective.items()})
 
 
-def main(nudge: str | None) -> None:
+def main(nudge: str | None, dscale: bool = False) -> None:
     start = time.perf_counter()
     api = run.load_api()
     reference = json.loads((PERFBENCH / "reference.json").read_text())
-    real = api.solver.solve
+    real, real_verify = api.solver.solve, api.cli.run_verify
     lines = []
 
     def recording(prob, config=None):
@@ -104,8 +110,11 @@ def main(nudge: str | None) -> None:
 
     statuses = Counter()
     api.solver.solve = recording
+    if dscale:
+        api.cli.run_verify = functools.partial(real_verify, dscale=True)
+    pools = ("verify-deep",) if dscale else ("verify-deep", "sweep-grid", "oracle-lp")
     try:
-        for name in ("verify-deep", "sweep-grid", "oracle-lp"):
+        for name in pools:
             workload = WORKLOADS[name](api, reference["workloads"][name]["pool"])
             workload.make_fixtures()
             for req in workload.all_requests():
@@ -115,7 +124,7 @@ def main(nudge: str | None) -> None:
                     print(name, workload.key(req), line)
                     statuses[line.split()[0]] += 1
     finally:
-        api.solver.solve = real
+        api.solver.solve, api.cli.run_verify = real, real_verify
     counts = ", ".join(f"{n} {s}" for s, n in sorted(statuses.items()))
     print(f"{sum(statuses.values())} solves: {counts}; "
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
@@ -157,7 +166,10 @@ if __name__ == "__main__":
         sys.exit(compare(*sys.argv[2:]))
     if len(sys.argv) == 1:
         main(None)
+    elif sys.argv[1:] == ["--dscale"]:
+        main(None, dscale=True)
     elif sys.argv[1:2] == ["--nudge"] and sys.argv[2:] in (["rhs"], ["obj"]):
         main(sys.argv[2])
     else:
-        sys.exit(f"usage: {sys.argv[0]} [--nudge rhs|obj | --compare OLD NEW]")
+        sys.exit(f"usage: {sys.argv[0]} "
+                 "[--nudge rhs|obj | --dscale | --compare OLD NEW]")

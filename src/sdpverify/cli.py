@@ -50,12 +50,11 @@ from .bounds import LayerBounds, input_box, propagate  # noqa: E402
 from .sdpform import (  # noqa: E402
     VARIANT_NAMES,
     Variant,
-    apply_dscale,
     build_relaxation,
     build_strict_feasibility,
+    dscale_diagonal,
     strict_feasibility_value,
     to_standard_form,
-    unscale_psd_block,
 )
 from . import solver as _solver  # noqa: E402
 from .analysis import (  # noqa: E402
@@ -189,10 +188,8 @@ def _competitors(prep, targets):
 
 def _relaxation(prep, target, variant, dscale=False):
     """The standard form of the relaxation against `target`."""
-    prob = build_relaxation(prep.net, prep.bounds, target, variant)
-    if dscale:
-        prob = apply_dscale(prob, prep.bounds)
-    return to_standard_form(prob)
+    return to_standard_form(build_relaxation(prep.net, prep.bounds, target,
+                                             variant, dscale=dscale))
 
 
 def _log(sol):
@@ -236,7 +233,10 @@ def run_verify(net, center, rho, variant, *, targets=None, dscale=False,
         t0 = time.perf_counter()
         gamma, sol = _margin(std)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-        X = unscale_psd_block(std, sol.xblocks[0])
+        X = sol.xblocks[0]
+        if dscale:
+            d = dscale_diagonal(prep.bounds)
+            X = X * np.outer(d, d)
         results.append(TargetResult.of(sol, target=t, gamma=gamma,
                                        lambda_min=min_eigenvalue(X),
                                        runtime_ms=elapsed_ms))
@@ -482,7 +482,7 @@ def _add_variant_flags(p):
     p.add_argument("--variant", choices=VARIANT_NAMES, default="base")
     _add_eps_alpha_flags(p)
     p.add_argument("--dscale", action="store_true",
-                   help="rescale constraint rows by interval magnitudes")
+                   help="build the relaxation conjugated by the interval upper bounds")
 
 
 def _add_output_flags(p):

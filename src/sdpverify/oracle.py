@@ -45,7 +45,7 @@ _FEAS_CUT = -1e-9
 _THIN_CUT = 1e-6
 _SIGN_SLACK = 1e-8
 
-_LP_CONFIG = _solver.SolverConfig(gap_tol=1e-10, feas_tol=1e-10, max_iter=300)
+_LP_CONFIG = _solver.SolverConfig(gap_tol=1e-10, feas_tol=1e-10)
 
 
 class PatternCapError(ValueError):

@@ -25,6 +25,13 @@ coordinate r = x_{i,j} with g = e_r - (l + u)_j e_0.  The builder lays
 each family out as one block of hub indices and coefficient rows and
 turns all rows into their terms in one vectorized pass.
 
+With `dscale` the builder writes the same relaxation in the coordinates
+P' = D^{-1} P D^{-1}, where D = diag(d) is `dscale_diagonal(bounds)`:
+every coefficient matrix M becomes D M D, each entry (r, c) multiplied
+by d_r d_c in that pass.  The optimal value is unchanged, a solution
+maps back as P = D P' D, and the diagonal scales of the layers are
+pulled toward each other.
+
 The verification objective for a target label t against the predicted
 label s is c^T x_H + c_0 with c = (W_out[s,:] - W_out[t,:])^T and
 c_0 = b_out[s] - b_out[t]; a positive minimum certifies that the target
@@ -51,8 +58,7 @@ __all__ = [
     "VARIANT_NAMES",
     "check_instance",
     "build_relaxation",
-    "apply_dscale",
-    "unscale_psd_block",
+    "dscale_diagonal",
     "to_standard_form",
     "build_strict_feasibility",
     "strict_feasibility_value",
@@ -204,18 +210,12 @@ class SdpProblem:
     `objective` maps block index to C_b as a `Coo`, like
     `Constraint.terms`.  Treated as immutable once built; transforms
     return new problems.
-    `layout` indexes block 0 by network layer when a relaxation built it;
-    `dscale` is the diagonal D of `apply_dscale` once applied, which
-    `unscale_psd_block` undoes.  The standard-form and strict-feasibility
-    transforms carry both over.
     """
 
     blocks: tuple[Block, ...]
     objective: dict
     obj_offset: float
     constraints: list
-    layout: VariableLayout | None = None
-    dscale: np.ndarray | None = None
 
     @property
     def num_constraints(self) -> int:
@@ -225,8 +225,9 @@ class SdpProblem:
         return np.array([c.rhs for c in self.constraints])
 
 
-def _hub_terms(rows, dim: int) -> list:
-    """One `Coo` per hub row A = sym(e_r g^T), for which tr(A P) = g . P[r].
+def _hub_terms(rows, dim: int, d=None) -> list:
+    """One `Coo` per hub row A = sym(e_r g^T), for which tr(A P) = g . P[r],
+    or D A D with D = diag(d) when `d` is given.
 
     `rows` lists blocks of rows as (hub, cols, coefs): row k of a block has
     hub r = hub[k] and g[cols[k]] = coefs[k], zero elsewhere.  Weights equal
@@ -249,6 +250,8 @@ def _hub_terms(rows, dim: int) -> list:
     row, col = np.concatenate([hub, col[off]]), np.concatenate([col, hub[off]])
     order = np.lexsort((col, row, con))
     con, row, col, g = con[order], row[order], col[order], g[order]
+    if d is not None:
+        g = g * d[row] * d[col]
     ends = np.searchsorted(con, np.arange(hubs.size + 1)).tolist()
     return [Coo(row[a:b], col[a:b], g[a:b], (dim, dim))
             for a, b in zip(ends, ends[1:])]
@@ -275,7 +278,8 @@ def check_instance(net: Network, bounds: LayerBounds, target: int) -> int:
 
 
 def build_relaxation(
-    net: Network, bounds: LayerBounds, target: int, variant: Variant
+    net: Network, bounds: LayerBounds, target: int, variant: Variant,
+    dscale: bool = False,
 ) -> SdpProblem:
     """Assemble the moment relaxation for one target label.
 
@@ -283,7 +287,10 @@ def build_relaxation(
     the relu families (each family over all neurons in order), then the box
     rows the variant keeps.  The target must differ from the label the net
     predicts at the box center, and a box whose l * u overflows is a
-    ValueError.
+    ValueError.  With `dscale` every coefficient matrix is conjugated by
+    the diagonal of `dscale_diagonal(bounds)` (module docstring), whose
+    own check runs after these; a solution's psd block X maps back to the
+    unscaled problem as X * outer(d, d).
     """
     H = net.num_hidden
     predicted = check_instance(net, bounds, target)
@@ -334,65 +341,32 @@ def build_relaxation(
     c0 = float(net.biases[-1][predicted] - net.biases[-1][target])
     *terms, objective = _hub_terms(
         rows + [(coord[:1], coord[None, layout.layer_slice(H)], c[None, :])],
-        layout.dim,
+        layout.dim, dscale_diagonal(bounds) if dscale else None,
     )
     return SdpProblem(
         blocks=(Block("psd", layout.dim),),
         objective={0: objective},
         obj_offset=c0,
         constraints=[Constraint({0: t}, *head) for t, head in zip(terms, heads)],
-        layout=layout,
     )
 
 
-def apply_dscale(prob: SdpProblem, bounds: LayerBounds) -> SdpProblem:
-    """Conjugate every coefficient matrix by a diagonal scaling D.
+def dscale_diagonal(bounds: LayerBounds) -> np.ndarray:
+    """The diagonal d of the scaling D, one entry per moment coordinate.
 
-    D carries 1 at the constant coordinate, the input upper-bound
-    magnitudes (floored at 1e-6) on the input block, and the hidden upper
-    bounds elsewhere.  Replacing each matrix M by D M D leaves the optimal
-    value unchanged while the variable maps to D^{-1} X D^{-1}, which pulls
-    wildly different diagonal scales toward each other.  Hidden entries
-    must be strictly positive (prune first).
+    d is 1 at the constant coordinate, the input upper-bound magnitudes
+    (floored at 1e-6) on the input block, and the hidden upper bounds
+    elsewhere, which must be strictly positive (prune first).
     """
-    if prob.layout is None:
-        raise ValueError("problem has no variable layout; build it first")
-    if prob.dscale is not None:
-        raise ValueError("diagonal scaling already applied")
-    layout = prob.layout
-    d = np.ones(layout.dim)
-    l0, u0 = bounds.boxes[0]
-    d[layout.layer_slice(0)] = np.maximum(np.abs(u0), 1e-6)
+    d = [np.ones(1), np.maximum(np.abs(bounds.upper(0)), 1e-6)]
     for i in range(1, bounds.num_layers):
         u = bounds.upper(i)
         if (u <= 0.0).any():
             raise ValueError(
                 f"layer {i} has a non-positive upper bound; prune inactive neurons"
             )
-        d[layout.layer_slice(i)] = u
-
-    def scale_terms(terms: dict) -> dict:
-        return {bidx: mat._replace(data=mat.data * d[mat.row] * d[mat.col])
-                if bidx == 0 else mat for bidx, mat in terms.items()}
-
-    return SdpProblem(
-        blocks=prob.blocks,
-        objective=scale_terms(prob.objective),
-        obj_offset=prob.obj_offset,
-        constraints=[
-            Constraint(scale_terms(c.terms), c.rhs, c.sense, c.label)
-            for c in prob.constraints
-        ],
-        layout=prob.layout,
-        dscale=d,
-    )
-
-
-def unscale_psd_block(prob: SdpProblem, X: np.ndarray) -> np.ndarray:
-    """Map a solution block of a scaled problem to original coordinates."""
-    if prob.dscale is None:
-        return X
-    return X * np.outer(prob.dscale, prob.dscale)
+        d.append(u)
+    return np.concatenate(d)
 
 
 def to_standard_form(prob: SdpProblem) -> SdpProblem:
@@ -423,8 +397,6 @@ def to_standard_form(prob: SdpProblem) -> SdpProblem:
         objective=dict(prob.objective),
         obj_offset=prob.obj_offset,
         constraints=constraints,
-        layout=prob.layout,
-        dscale=prob.dscale,
     )
 
 
@@ -462,8 +434,6 @@ def build_strict_feasibility(prob: SdpProblem) -> SdpProblem:
         objective=objective,
         obj_offset=0.0,
         constraints=constraints,
-        layout=prob.layout,
-        dscale=prob.dscale,
     )
 
 

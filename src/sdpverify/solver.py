@@ -18,10 +18,10 @@ which supply only their arithmetic: step 1 is their `measure`, 2-5 their
 
 `_iterate` runs step 1 once per iterate, records it in `history` and
 stops there on Optimal or Unbounded.  A numerical breakdown, the
-iteration cap, or a step below _STALL_STEP in both cones three times in
-a row also ends the run, which then returns the iterate before that step
-or the best earlier one by max(pres, dres, gap), whichever scores lower,
-with the residuals, gap and objectives its step 1 found.
+iteration cap _MAX_ITER, or a step below _STALL_STEP in both cones three
+times in a row also ends the run, which then returns the iterate before
+that step or the best earlier one by max(pres, dres, gap), whichever
+scores lower, with the residuals, gap and objectives its step 1 found.
 
 Eliminating dX and dS leaves the Schur system M dy = rhs with
 M_jk = tr(A_j X A_k S^{-1}).  Constraint matrices here have few nonzero
@@ -156,6 +156,8 @@ _UNBOUNDED_OBJ = -1e12
 _REG_LADDER = tuple(1e-12 * 10.0**k for k in range(7))
 # Steps below this in both cones count as a stall.
 _STALL_STEP = 1e-10
+# Iterations before a solve ends MaxIterations.
+_MAX_ITER = 200
 # Fraction of the distance to the cone boundary taken by each step.
 _TAU = 0.95
 # Most constraints per stacked Schur product; bounds its (k, d, d) temporary.
@@ -168,7 +170,8 @@ class _NumericalProblem(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """When a solve stops: gap and feasibility tolerances, iteration cap.
+    """When a solve stops: gap and feasibility tolerances.  Every solve
+    also stops after _MAX_ITER iterations.
 
     The iteration itself has no settings.  It starts from X = S = mu_0 I
     with mu_0 = 100 times the largest input coefficient magnitude, floored
@@ -178,13 +181,10 @@ class SolverConfig:
 
     gap_tol: float = 1e-6
     feas_tol: float = 1e-7
-    max_iter: int = 200
 
     def __post_init__(self):
         if not all(0 < tol < math.inf for tol in (self.gap_tol, self.feas_tol)):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -617,7 +617,7 @@ def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
                            k, history, reason)
 
     try:
-        for k in range(cfg.max_iter):
+        for k in range(_MAX_ITER):
             meas = measure(state)
             pres, dres, gap, pobj, _, mu, aux = meas
             history.append((mu, pres, dres, gap))
@@ -634,7 +634,7 @@ def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
                 break
             state = nxt
         else:
-            k = cfg.max_iter
+            k = _MAX_ITER
             meas = measure(state)
     except _NumericalProblem as exc:
         status, reason = NUMERICAL_FAILURE, str(exc)

@@ -42,6 +42,9 @@ SWEEP_DEPTHS = [2, 4, 6, 8, 10, 12]
 SWEEP_SEEDS = [0, 1, 2, 3, 4]
 SWEEP_RHO = 0.1
 SWEEP_WIDTH = 8
+# Sweep-width nets whose base margin solve is known to fail
+RESCUE_DEPTHS = [10, 11, 12]
+RESCUE_SEED = 8
 
 
 def _criterion(n, ok, detail):
@@ -223,7 +226,31 @@ def test_criterion_05_rescue_by_loosening(depth_sweep):
         ok &= rescued >= 1
         notes.append(f"bremove rescues {rescued} cells at L={deepest}")
     else:
-        notes.append("base solved every cell; rescue clause vacuous")
+        notes.append("base solved a cell at every sweep depth")
+
+    # every target whose base solve fails is solved by some remedy
+    status = {}
+    for depth in RESCUE_DEPTHS:
+        net, center = random_instance(depth, SWEEP_WIDTH, seed=RESCUE_SEED)
+        for name in VARIANT_NAMES:
+            for t in run_verify(net, center, SWEEP_RHO, Variant(name)).targets:
+                status[depth, t.target, name] = t.status
+    failed = sorted({(d, t) for d, t, name in status
+                     if name == "base" and status[d, t, name] != "Optimal"})
+    remedies = [name for name in VARIANT_NAMES if name != "base"]
+    if failed:
+        solved_by = {name: [cell for cell in failed
+                            if status[(*cell, name)] == "Optimal"]
+                     for name in remedies}
+        ok &= all(any(cell in solved_by[name] for name in remedies)
+                  for cell in failed)
+        notes.append(f"base fails on {len(failed)} seed-{RESCUE_SEED} targets "
+                     f"at L={sorted({d for d, _ in failed})}; solved by "
+                     + ", ".join(f"{name} {len(solved_by[name])}"
+                                 for name in remedies))
+    else:
+        notes.append(f"base solved every seed-{RESCUE_SEED} target at "
+                     f"L={RESCUE_DEPTHS}; rescue clause vacuous")
     _criterion(5, ok, "; ".join(notes))
 
 

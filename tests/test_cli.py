@@ -386,9 +386,9 @@ def test_variant_defaults_are_the_cli_defaults(tmp_path, monkeypatch):
     assert Variant("leaky").alpha == 0.01
     built, real = [], cli.build_relaxation
 
-    def wrapped(net, bounds, target, variant):
+    def wrapped(net, bounds, target, variant, dscale=False):
         built.append(variant)
-        return real(net, bounds, target, variant)
+        return real(net, bounds, target, variant, dscale)
 
     monkeypatch.setattr(cli, "build_relaxation", wrapped)
     path = _save(_tiny(), tmp_path)

@@ -27,12 +27,12 @@ from sdpverify.sdpform import (
     Coo,
     SdpProblem,
     Variant,
-    apply_dscale,
+    VariableLayout,
     build_relaxation,
     build_strict_feasibility,
+    dscale_diagonal,
     strict_feasibility_value,
     to_standard_form,
-    unscale_psd_block,
 )
 from sdpverify.solver import SolverConfig, solve
 
@@ -222,7 +222,7 @@ def test_layout_indexing():
     bounds = boxed(net, [0.0, 0.0], 0.3)
     target = 1 - predict(net, np.zeros(2))
     prob = build_relaxation(net, bounds, target, Variant.base())
-    layout = prob.layout
+    layout = VariableLayout(net.layer_sizes)
     assert layout.dim == 1 + 2 + 3 + 2
     assert layout.offsets[0] == 1
     sl = layout.layer_slice(1)
@@ -243,7 +243,7 @@ def test_rank_one_traces_are_feasible():
             prob = build_relaxation(net, bounds, target, Variant(name))
             for x in xs:
                 acts = activations(net, x)
-                P = lifted_point(prob.layout, acts)
+                P = lifted_point(VariableLayout(net.layer_sizes), acts)
                 assert constraint_violations(prob, [P]).max() <= 1e-9
                 out = net.weights[-1] @ acts[-1] + net.biases[-1]
                 margin = out[predict(net, center)] - out[target]
@@ -261,7 +261,8 @@ def test_trace_caps_on_lifted_points(tiny_net):
     def lifted(net, x, variant):
         bounds = boxed(net, [1.0], 0.5)
         prob = build_relaxation(net, bounds, 1, variant)
-        P = lifted_point(prob.layout, activations(net, np.array([x])))
+        P = lifted_point(VariableLayout(net.layer_sizes),
+                         activations(net, np.array([x])))
         assert constraint_violations(prob, [P]).max() <= 1e-9
         return float(np.trace(P)), bounds
 
@@ -341,19 +342,10 @@ def test_dscale_is_identity_on_unit_bounds():
     )
     bounds = boxed(net, [0.5], 0.5)
     prob = build_relaxation(net, bounds, 1, Variant.base())
-    scaled = apply_dscale(prob, bounds)
-    assert np.array_equal(scaled.dscale, np.ones(3))
+    scaled = build_relaxation(net, bounds, 1, Variant.base(), dscale=True)
+    assert np.array_equal(dscale_diagonal(bounds), np.ones(3))
     for c0, c1 in zip(prob.constraints, scaled.constraints):
         assert np.allclose(c0.terms[0].toarray(), c1.terms[0].toarray(), atol=0)
-
-
-def test_dscale_carried_through_standard_and_strict_forms(tiny_net):
-    # box [0.5, 1.5]: input scale 1.5, hidden upper bound 1.5
-    bounds = boxed(tiny_net, [1.0], 0.5)
-    prob = build_relaxation(tiny_net, bounds, 1, Variant.base())
-    assert prob.dscale is None
-    sf = build_strict_feasibility(to_standard_form(apply_dscale(prob, bounds)))
-    assert np.array_equal(sf.dscale, [1.0, 1.5, 1.5])
 
 
 def test_dscale_preserves_optimum_and_unscales():
@@ -364,25 +356,23 @@ def test_dscale_preserves_optimum_and_unscales():
         bounds = boxed(net, center, 0.3)
         target = 1 - predict(net, center)
         prob = build_relaxation(net, bounds, target, Variant.base())
-        scaled = apply_dscale(prob, bounds)
+        scaled = build_relaxation(net, bounds, target, Variant.base(), dscale=True)
         cfg = SolverConfig(gap_tol=1e-8)
         plain = solve(to_standard_form(prob), cfg)
         conj = solve(to_standard_form(scaled), cfg)
         assert plain.status == "Optimal" and conj.status == "Optimal"
         assert abs(plain.primal_obj - conj.primal_obj) <= 1e-6
         # pulled-back solution must satisfy the unscaled constraints
-        std = to_standard_form(scaled)
-        X = unscale_psd_block(std, conj.xblocks[0])
+        d = dscale_diagonal(bounds)
+        X = conj.xblocks[0] * np.outer(d, d)
         viol = constraint_violations(prob, [X])
         assert viol.max() <= 1e-6
 
 
-def test_dscale_rejects_double_and_dead(tiny_net):
+def test_dscale_rejects_dead_neurons(tiny_net):
+    # box [0.5, 1.5]: input scale 1.5, hidden upper bound 1.5
     bounds = boxed(tiny_net, [1.0], 0.5)
-    prob = build_relaxation(tiny_net, bounds, 1, Variant.base())
-    scaled = apply_dscale(prob, bounds)
-    with pytest.raises(ValueError):
-        apply_dscale(scaled, bounds)
+    assert np.array_equal(dscale_diagonal(bounds), [1.0, 1.5, 1.5])
     # a dead hidden neuron leaves u = 0, which cannot scale
     dead = Network(
         (np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]])),
@@ -393,9 +383,11 @@ def test_dscale_rejects_double_and_dead(tiny_net):
         (dead.weights[0], np.array([[1.0, 1.0], [0.0, 0.0]])),
         (dead.biases[0], np.array([0.0, 0.0])),
     )
-    dprob = build_relaxation(dtarget_net, dbounds, 1, Variant.base())
-    with pytest.raises(ValueError):
-        apply_dscale(dprob, dbounds)
+    build_relaxation(dtarget_net, dbounds, 1, Variant.base())
+    with pytest.raises(ValueError, match="prune inactive neurons"):
+        build_relaxation(dtarget_net, dbounds, 1, Variant.base(), dscale=True)
+    with pytest.raises(ValueError, match="prune inactive neurons"):
+        dscale_diagonal(dbounds)
 
 
 def test_standard_form_slack_accounting():
@@ -568,8 +560,9 @@ def _term_path_problems(monkeypatch):
     prep = prepare_instance(*random_instance(12, 8, seed=0), 0.1)
     target = _competitors(prep, None)[0]
     for name in VARIANT_NAMES:
-        prob = build_relaxation(prep.net, prep.bounds, target, Variant(name))
-        for p in (prob, apply_dscale(prob, prep.bounds)):
+        for dscale in (False, True):
+            p = build_relaxation(prep.net, prep.bounds, target, Variant(name),
+                                 dscale=dscale)
             std = to_standard_form(p)
             out += [p, std, build_strict_feasibility(std)]
 
@@ -630,11 +623,35 @@ def test_every_relaxation_row_is_a_hub_row(tiny_net):
              (prep.net, prep.bounds, _competitors(prep, None)[0])]
     for net, bounds, target in cases:
         for name in VARIANT_NAMES:
-            prob = build_relaxation(net, bounds, target, Variant(name))
-            for p in (prob, apply_dscale(prob, bounds)):
+            for dscale in (False, True):
+                p = build_relaxation(net, bounds, target, Variant(name),
+                                     dscale=dscale)
                 assert 0 in _hubs(p.objective[0])
                 for c in p.constraints:
                     hubs = _hubs(c.terms[0])
                     assert hubs, c.label
                     own = c.label.startswith(("relu-comp", "box"))
                     assert (0 not in hubs) == own, c.label
+
+
+def test_scaled_terms_are_the_plain_terms_times_d_r_d_c():
+    """`dscale=True` keeps every term's entries where they are and
+    multiplies each by d[row] * d[col], the product D M D forms."""
+    from sdpverify.cli import _competitors, prepare_instance, random_instance
+
+    prep = prepare_instance(*random_instance(12, 8, seed=0), 0.1)
+    target = _competitors(prep, None)[0]
+    d = dscale_diagonal(prep.bounds)
+    for name in VARIANT_NAMES:
+        plain, scaled = (build_relaxation(prep.net, prep.bounds, target,
+                                          Variant(name), dscale=dscale)
+                         for dscale in (False, True))
+        assert scaled.blocks == plain.blocks
+        assert scaled.obj_offset == plain.obj_offset
+        assert np.array_equal(scaled.rhs_vector(), plain.rhs_vector())
+        pairs = [(plain.objective[0], scaled.objective[0])]
+        pairs += [(a.terms[0], b.terms[0])
+                  for a, b in zip(plain.constraints, scaled.constraints, strict=True)]
+        for a, b in pairs:
+            assert np.array_equal(a.row, b.row) and np.array_equal(a.col, b.col)
+            assert np.array_equal(b.data, a.data * d[a.row] * d[a.col])
