@@ -14,9 +14,10 @@ full `solver.solve`; on the margin form also one step-length call
 `solver._compile`.  It also times one solve of the first linear program
 that `oracle.exact_gamma` hands the solver on the depth-2, width-8,
 seed-0 fixture (diagonal blocks of 2, 1 and 6 slacks; 6 constraints),
-and that solve's data build `solver._lp_data`: its blocks are all
-diagonal, so it runs on the dense LP path, which builds one dense A of
-6 x 9 instead of calling `_compile`.  The layers
+and that solve's walk over its terms, `solver._block_terms` on each
+block: its blocks are all diagonal, so it runs on the dense LP path,
+which fills one dense A of 6 x 9 from that walk instead of calling
+`_compile`.  The layers
 before the solver are timed on the same depth-12 instance:
 `build_relaxation`, `to_standard_form` of its result and
 `build_strict_feasibility` of that; and one whole `exact_gamma` on the
@@ -151,9 +152,12 @@ def test_compile_margin(benchmark, forms):
 
 def test_compile_oracle_lp(benchmark, oracle_lp):
     prob, config = oracle_lp
-    A, c, cuts = benchmark.pedantic(solver._lp_data, args=(prob,), rounds=500,
-                                    iterations=1, warmup_rounds=5)
-    assert A.shape == (6, 9) and c.shape == (9,) and list(cuts) == [2, 3]
+    def walk():
+        return [solver._block_terms(prob, b) for b in range(len(prob.blocks))]
+
+    terms = benchmark.pedantic(walk, rounds=500, iterations=1, warmup_rounds=5)
+    assert [C.shape for C, _, _ in terms] == [(2,), (1,), (6,)]
+    assert sum(val.size for _, _, (_, _, _, val) in terms) > 0
     sol = solver.solve(prob, config)
     assert (sol.status, sol.iterations) == LP_EXPECTED
 

@@ -9,10 +9,12 @@ post-activation, so their lower ends are never negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .network import Network
+if TYPE_CHECKING:
+    from .network import Network
 
 __all__ = ["LayerBounds", "input_box", "propagate"]
 

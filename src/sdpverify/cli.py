@@ -52,6 +52,7 @@ from .sdpform import (  # noqa: E402
     Variant,
     build_relaxation,
     build_strict_feasibility,
+    check_instance,
     dscale_diagonal,
     strict_feasibility_value,
     to_standard_form,
@@ -137,7 +138,9 @@ def random_instance(depth, width, seed=0):
 
 @dataclass
 class PreparedInstance:
-    """A network and box after the shared preprocessing pipeline."""
+    """A network and box after the shared preprocessing pipeline.
+    `predicted` is the label the network gives the box midpoint
+    `bounds.center`, the point every relaxation and the oracle certify."""
 
     net: Network
     bounds: LayerBounds
@@ -167,21 +170,22 @@ def prepare_instance(net, center, rho, *, wscale=False, prune=True):
             ) from exc
         lb = report.bounds
         pruned = len(report.removed)
-    return PreparedInstance(net, lb, predict(net, center), pruned)
+    return PreparedInstance(net, lb, predict(net, lb.center), pruned)
 
 
 def _competitors(prep, targets):
+    """Every label but the predicted one, or `targets`, each checked by
+    `check_instance` before any solve."""
     if prep.net.output_dim < 2:
         raise UsageError("network has a single output label; nothing to target")
     if targets is None:
         return [t for t in range(prep.net.output_dim) if t != prep.predicted]
     out = []
-    for t in targets:
-        t = int(t)
-        if not 0 <= t < prep.net.output_dim:
-            raise UsageError(f"target {t} out of range")
-        if t == prep.predicted:
-            raise UsageError(f"target {t} is the predicted label")
+    for t in map(int, targets):
+        try:
+            check_instance(prep.net, prep.bounds, t)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         out.append(t)
     return out
 
@@ -299,14 +303,15 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
     """One row per (depth, seed, variant): ball radius plus margin solve.
 
     Each (depth, seed) cell draws its fixture from `random_instance` and
-    targets the highest-logit competitor (ties to the lower label).  Each
-    variant is built once; the radius solve and then the margin solve run
-    on the same standard form.  A row's `runtime_ms` covers the build and
-    both solves, `radius_ms` and `margin_ms` each solve alone.  A row's
-    `solution` is the margin solve's final iterate on that standard form,
-    so `solution.xblocks[0]` is the moment matrix of the relaxation.  Rows
-    come out in (depth, seed, variant) order.  Every fixture is drawn, and
-    so checked, before the first solve.
+    targets the competitor with the highest logit at the box midpoint
+    (ties to the lower label).  Each variant is built once; the radius
+    solve and then the margin solve run on the same standard form.  A
+    row's `runtime_ms` covers the build and both solves, `radius_ms` and
+    `margin_ms` each solve alone.  A row's `solution` is the margin
+    solve's final iterate on that standard form, so `solution.xblocks[0]`
+    is the moment matrix of the relaxation.  Rows come out in (depth,
+    seed, variant) order.  Every fixture is drawn, and so checked, before
+    the first solve.
     """
     variants = [Variant(name) for name in spec.variants]
     cells = [(depth, seed, *random_instance(depth, spec.width, seed=seed))
@@ -315,7 +320,7 @@ def run_sweep(spec: SweepSpec, *, clock=time.perf_counter):
     for depth, seed, net, center in cells:
         prep = prepare_instance(net, center, spec.rho, prune=True)
         bound = min_eig_bound(prep.net, center, spec.rho)
-        logits = forward(prep.net, center)
+        logits = forward(prep.net, prep.bounds.center)
         target = max(_competitors(prep, None), key=lambda t: (logits[t], -t))
         for variant in variants:
             t0 = clock()

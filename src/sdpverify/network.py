@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import LayerBounds
+
 __all__ = [
     "Network",
     "PruneReport",
@@ -118,7 +120,7 @@ class PruneReport:
     removed: tuple[tuple[int, int], ...]  # (hidden layer index >= 1, neuron index)
     original_sizes: tuple[int, ...]
     pruned_sizes: tuple[int, ...]
-    bounds: "object" = field(repr=False, default=None)  # LayerBounds, re-indexed
+    bounds: LayerBounds | None = field(repr=False, default=None)  # re-indexed
 
 
 def load(path: str) -> Network:
@@ -175,7 +177,7 @@ def predict(net: Network, x: np.ndarray) -> int:
     return int(np.argmax(forward(net, x)))
 
 
-def prune_inactive(net: Network, bounds) -> tuple[Network, PruneReport]:
+def prune_inactive(net: Network, bounds: LayerBounds) -> tuple[Network, PruneReport]:
     """Drop hidden neurons whose post-activation upper bound is <= 0.
 
     Such a neuron outputs 0 on the whole input box, so deleting its row and
@@ -206,9 +208,6 @@ def prune_inactive(net: Network, bounds) -> tuple[Network, PruneReport]:
         weights[i] = weights[i][:, keep]
         boxes[i] = (boxes[i][0][keep], boxes[i][1][keep])
     pruned = Network(tuple(weights), tuple(biases))
-    # rebuild bounds container without importing at module load (cycle-free)
-    from .bounds import LayerBounds
-
     report = PruneReport(
         removed=tuple(removed),
         original_sizes=net.layer_sizes,

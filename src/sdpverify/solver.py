@@ -47,10 +47,10 @@ scipy.sparse imports it, and would not be bound as its attribute.
 
 The constraint data is compiled once per solve, per problem block and in
 block order, from all (constraint, row, col, value) triplets of the block
-at once, taken in the order the `Coo` terms hold them (its docstring) and
-laid out as csr arrays with one row per constraint.  The iterates are
-held per problem block too, so the solution hands back the final iterate
-as it is.
+at once, which `_block_terms` takes in the order the `Coo` terms hold
+them (its docstring), laid out as csr arrays with one row per
+constraint.  The iterates are held per problem block too, so the
+solution hands back the final iterate as it is.
 
 Free variables carry no barrier: they ride along in the Newton system as
 the augmented equations M dy + B df = rhs, B^T dy = c_f - B^T y, solved by
@@ -76,8 +76,8 @@ hands it to `_solve_lp`; a problem with any psd or free block takes the
 general loop `_solve_blocks`.  The choice reads only the block kinds.
 The exact oracle's LPs are tiny (3 to 7 constraints over at most a dozen
 columns in the benchmark's pool), so numpy's per-call cost, not
-arithmetic, sets their time: the LP path builds a dense A (m, n) and c
-once from the constraint terms, with no compile or csr arrays, and then
+arithmetic, sets their time: the LP path fills a dense A (m, n) and c
+from the same `_block_terms` walk, with no csr arrays, and then
 A x, A^T y and the Schur matrix (A diag(x/s)) A^T are one BLAS call
 each.  Its `step` is the same predictor-corrector on the vectors x, s
 and y, and it shares the input checks, mu_0 and the Unbounded threshold
@@ -296,29 +296,32 @@ def _psd_chunks(present, j, row, col, val, d, m):
     return chunks
 
 
+def _block_terms(prob: SdpProblem, b: int):
+    """Block b's C, dense (d, d) if psd and (d,) otherwise, the constraints
+    with a term in it (ascending) and the `_triplets` of those terms."""
+    d = prob.blocks[b].dim
+    cmat = prob.objective.get(b)
+    if prob.blocks[b].kind == "psd":
+        C = cmat.toarray() if cmat is not None else np.zeros((d, d))
+    else:
+        C = np.zeros(d)
+        if cmat is not None:
+            np.add.at(C, cmat.row, cmat.data)
+    present = [j for j, cons in enumerate(prob.constraints) if b in cons.terms]
+    mats = [prob.constraints[j].terms[b] for j in present]
+    present = np.array(present, dtype=np.int64)
+    return C, present, _triplets(present, mats)
+
+
 def _compile(prob: SdpProblem):
     """One `_CompiledBlock` per block of `prob`, in block order; an
-    all-diagonal problem takes `_solve_lp` and `_lp_data` instead."""
+    all-diagonal problem takes `_solve_lp` instead."""
     m = prob.num_constraints
     compiled = []
     for bidx, blk in enumerate(prob.blocks):
         d = blk.dim
         psd = blk.kind == "psd"
-        cmat = prob.objective.get(bidx)
-        if psd:
-            C = cmat.toarray() if cmat is not None else np.zeros((d, d))
-        else:
-            C = np.zeros(d)
-            if cmat is not None:
-                np.add.at(C, cmat.row, cmat.data)
-        present, mats = [], []
-        for j, cons in enumerate(prob.constraints):
-            mat = cons.terms.get(bidx)
-            if mat is not None:
-                present.append(j)
-                mats.append(mat)
-        present = np.array(present, dtype=np.int64)
-        j, row, col, val = _triplets(present, mats)
+        C, present, (j, row, col, val) = _block_terms(prob, bidx)
         # the csr arrays tocsr gives: entries by (j, column); transposed,
         # by (column, j), which a stable sort on the column yields
         ncols = d * d if psd else d
@@ -643,34 +646,22 @@ def _iterate(cfg: SolverConfig, state, unbounded_obj: float, measure, step,
     return finish(state, meas, status)
 
 
-def _lp_data(prob: SdpProblem):
-    """Dense A (m, n) and c of an all-diagonal problem, whose blocks'
-    columns follow one another in block order, and where each block but
-    the first starts.  Entries at one place add up in entry order."""
-    offsets = np.cumsum([0] + [blk.dim for blk in prob.blocks])
-    c = np.zeros(int(offsets[-1]))
-    for b, mat in prob.objective.items():
-        np.add.at(c, mat.row + offsets[b], mat.data)
-    A = np.zeros((prob.num_constraints, c.size))
-    terms = [(j, b, mat) for j, cons in enumerate(prob.constraints)
-             for b, mat in cons.terms.items()]
-    if terms:
-        np.add.at(A, (np.repeat([j for j, _, _ in terms],
-                                [mat.data.size for _, _, mat in terms]),
-                      np.concatenate([mat.row + offsets[b] for _, b, mat in terms])),
-                  np.concatenate([mat.data for _, _, mat in terms]))
-    return A, c, offsets[1:-1]
-
-
 # A diverging iterate makes dense products warn where the general loop's
 # csr kernels stay silent; a non-finite direction still ends the solve as
 # NumericalFailure.
 @np.errstate(invalid="ignore", over="ignore")
 def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     """`_solve_blocks`'s iteration on an all-diagonal problem, with x, s
-    and y as vectors and A dense (module docstring)."""
-    A, c, cuts = _lp_data(prob)
-    m, n = A.shape
+    and y as vectors and A dense (module docstring): the blocks' columns
+    follow one another in block order, and each block's entries add into
+    A in the order `_block_terms` gives them."""
+    offsets = np.cumsum([0] + [blk.dim for blk in prob.blocks])
+    m, n = prob.num_constraints, int(offsets[-1])
+    A, c = np.zeros((m, n)), np.zeros(n)
+    for b, lo in enumerate(offsets[:-1].tolist()):
+        C, _, (j, row, _, val) = _block_terms(prob, b)
+        c[lo:lo + C.size] = C
+        np.add.at(A, (j, row + lo), val)
     bvec = prob.rhs_vector()
     mu0, unbounded_obj, dscale = _checked_start(prob, n, [c], [A], bvec)
     bscale = 1.0 + np.abs(bvec)
@@ -712,7 +703,7 @@ def _solve_lp(prob: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 
     def blocks(state):
         x, y, s = state
-        return np.split(x, cuts), y, np.split(s, cuts)
+        return np.split(x, offsets[1:-1]), y, np.split(s, offsets[1:-1])
 
     state = (np.full(n, mu0), np.zeros(m), np.full(n, mu0))
     return _iterate(cfg, state, unbounded_obj, measure, step, blocks)

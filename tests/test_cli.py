@@ -34,7 +34,9 @@ from sdpverify.cli import (
 )
 from sdpverify import cli
 from sdpverify.network import Network, load, save
-from sdpverify.sdpform import VARIANT_NAMES, Block, Constraint, SdpProblem, Variant
+from sdpverify.sdpform import (
+    VARIANT_NAMES, Block, Constraint, SdpProblem, Variant, check_instance,
+)
 from sdpverify.solver import SolverConfig, solve
 
 TRACE_LINE = re.compile(r"^iter=\d+ mu=\S+ pres=\S+ dres=\S+ gap=\S+$")
@@ -198,6 +200,45 @@ def test_verify_target_flag(tmp_path, capsys):
                  "--target", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [t["target"] for t in report["targets"]] == [1]
+
+
+def _tie():
+    # both logits are 0.0 at x = 0.1; the midpoint of the box [-0.2, 0.4]
+    # lies an ulp above 0.1, where logit 0 dips below 0 and label 1 wins
+    return Network(
+        (np.array([[1.0]]), np.array([[-1.0], [0.0]])),
+        (np.array([0.0]), np.array([0.1, 0.0])),
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "diagnose", "compare"])
+def test_predicted_label_is_read_at_the_box_midpoint(tmp_path, capsys, command):
+    """The CLI predicts where the relaxations and the oracle do, at the box
+    midpoint, so a tie at the given input is no usage error."""
+    prep = prepare_instance(_tie(), [0.1], 0.3)
+    assert prep.predicted == check_instance(prep.net, prep.bounds,
+                                            1 - prep.predicted)
+    path = _save(_tie(), tmp_path)
+    assert main([command, "--net", path, "--input", "0.1", "--rho", "0.3"]) != 3
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("target, message", [
+    ("2", "target 2 out of range for 2 labels"),
+    ("-1", "target -1 out of range for 2 labels"),
+    ("0", "target 0 equals the predicted label"),
+], ids=["above", "negative", "predicted"])
+def test_bad_target_fails_before_any_solve(tmp_path, monkeypatch, capsys,
+                                           command, target, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the target was checked")
+
+    monkeypatch.setattr(cli._solver, "solve", no_solve)
+    path = _save(_tiny(), tmp_path)
+    assert main([command, "--net", path, "--input", "1.0", "--rho", "0.5",
+                 "--target", target]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_solver_trace_to_file(tmp_path, monkeypatch):

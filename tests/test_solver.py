@@ -499,8 +499,8 @@ def _one_diagonal_block(prob):
 def test_solve_ignores_how_the_orthant_is_split():
     """The oracle's margin LP solves the same with its diagonal blocks of 2,
     1 and the slacks as with their columns in one block, to the last bit:
-    both run `_solve_lp`, so this pins `_lp_data`'s column layout, which
-    joins the blocks' columns in block order."""
+    both run `_solve_lp`, so this pins its column layout, which joins the
+    blocks' columns in block order."""
     lp = _oracle_lp(nblocks=3)
     assert [(b.kind, b.dim) for b in lp.blocks[:2]] == [("diag", 2), ("diag", 1)]
     assert lp.blocks[2].kind == "diag"
